@@ -10,7 +10,7 @@ order comparisons the whole way.
 
 import math
 
-from expbouquet import TowerReal, tf_cmp, tf_exp, tf_from_real
+from expbouquet import TowerReal
 
 # Ordinary numbers stay at level 0 and behave like floats.
 x = TowerReal.from_real(1234.5)
@@ -33,7 +33,3 @@ print("both are float-infinite:", math.isinf(a.value()) and math.isinf(b.value()
 # forming the unrepresentable intermediate.
 m = TowerReal.from_real(50.0)
 print("exp(50) + 2 as a tower:", m.exp_plus(2.0))
-
-# The tf_* helpers are plain-function spellings of the same operations.
-big, bigger = tf_exp(tf_from_real(999.5)), tf_exp(tf_from_real(1000.0))
-print("tf_cmp(exp(1000), exp(999.5)):", tf_cmp(bigger, big))

@@ -22,6 +22,7 @@ from .expmap import (
     MAG_GUARD,
     RE_OVERFLOW,
     Params,
+    _track,
     eval_map,
     max_modulus_iterates,
 )
@@ -58,9 +59,11 @@ CYCLE_REFINE_TOL = 1e-10
 # reported multiplier within ~5e-7 of the unit circle.
 PARAM_REFINE_TOL = 1e-13
 ATTRACTING_BAND = 1e-9
+# log of the attracting band's edge: a window whose real parts sum below this
+# has multiplier modulus |prod exp(z_i)| < 1 - ATTRACTING_BAND.
+ATTRACT_CUT = math.log1p(-ATTRACTING_BAND)
 PARABOLIC_BAND = 1e-6
 REVISIT_TOL = 1e-10
-_TINY = 2.2250738585072014e-308
 
 
 class ConvergenceError(RuntimeError):
@@ -151,45 +154,6 @@ ParamClass = Union[
 ]
 
 
-def _classify_track(
-    a: complex, z0: complex, steps: int, bailout: float
-) -> tuple[list[complex | None], list[TowerReal]]:
-    """Track ``steps`` orbit steps for classification purposes.
-
-    The direct complex track runs while ``|z| <= bailout``, ``Re z <= 700``
-    and ``|z| < 1e15``; afterwards magnitudes continue as towers under the
-    far-right growth model ``|z_{n+1}| = exp(|z_n|) + |a|`` (or, when the
-    switch was triggered by ``Re z > 700``, from ``log |z_{n+1}| = Re z``).
-    """
-    abs_a = abs(a)
-    zs: list[complex | None] = [z0]
-    mags: list[TowerReal] = [TowerReal.from_real(max(abs(z0), _TINY))]
-    z: complex | None = z0
-    for _ in range(steps):
-        if z is not None:
-            az = abs(z)
-            if az > bailout or az >= MAG_GUARD:
-                # Crossed the escape horizon: model growth from |z|.
-                mags.append(mags[-1].exp_plus(abs_a))
-                zs.append(None)
-                z = None
-                continue
-            if z.real > RE_OVERFLOW:
-                # exp(z) not representable; its log-magnitude is Re z.
-                mags.append(TowerReal(1, z.real))
-                zs.append(None)
-                z = None
-                continue
-            w = cmath.exp(z) + a
-            zs.append(w)
-            mags.append(TowerReal.from_real(max(abs(w), _TINY)))
-            z = w
-        else:
-            mags.append(mags[-1].exp_plus(abs_a))
-            zs.append(None)
-    return zs, mags
-
-
 def _first_exit(mags: Sequence[TowerReal], bailout: float, upto: int) -> Optional[int]:
     """First index ``n <= upto`` whose magnitude tower exceeds ``bailout``."""
     bail = TowerReal.from_real(bailout)
@@ -230,7 +194,7 @@ def classify_point(
     if not 0.0 < bailout <= MAG_GUARD:
         raise ValueError("bailout must be in (0, 1e15]")
     total = depth + 10
-    zs, mags = _classify_track(p.a, z, total, bailout)
+    zs, mags = _track(p.a, z, total, bailout)
     exit_step = _first_exit(mags, bailout, depth)
     if exit_step is not None:
         m_towers = max_modulus_iterates(p.a, p.radius, depth)
@@ -254,7 +218,6 @@ def _detect_basin_period(zs: Sequence[complex | None], depth: int) -> Optional[i
     total = depth + 10
     if total >= len(zs):
         total = len(zs) - 1
-    attract_cut = math.log1p(-ATTRACTING_BAND)
     for q in range(1, min(32, depth) + 1):
         z_d, z_dq = zs[depth], zs[depth - q]
         z_t, z_tq = zs[total], zs[total - q]
@@ -266,7 +229,7 @@ def _detect_basin_period(zs: Sequence[complex | None], depth: int) -> Optional[i
         if any(w is None for w in window):
             continue
         log_mult = sum(w.real for w in window)  # log |prod exp(z_i)|
-        if log_mult < attract_cut:
+        if log_mult < ATTRACT_CUT:
             return q
     return None
 
@@ -283,7 +246,7 @@ def fast_escape_test(
     """
     if depth < 3:
         raise ValueError("depth must be >= 3")
-    _, mags = _classify_track(p.a, z, depth, bailout)
+    _, mags = _track(p.a, z, depth, bailout)
     m_towers = max_modulus_iterates(p.a, p.radius, depth)
     return _least_domination_offset(mags, m_towers, depth)
 

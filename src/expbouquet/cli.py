@@ -139,48 +139,13 @@ def _fmt_real(x: float) -> str:
 
 
 # --------------------------------------------------------------------------
-# config file merging
+# option registry and config file merging
 
-# Per-subcommand option registry: dest -> (converter-from-string, default).
-# Used both for --config values and for filling hard defaults after the
-# command line wins.
+# An option is (converter-from-string, hard default, help); the same table
+# declares the --flag-name argument and converts --config values.
+_Option = tuple[Callable[[str], Any], Any, str]
 
-_RENDER_OPTS: dict[str, tuple[Callable[[str], Any], Any]] = {
-    "map": (_arg_map, "exponential"),
-    "a": (_arg_complex, 0j),
-    "viewport": (_arg_viewport, None),
-    "width": (_arg_positive_int, 800),
-    "height": (_arg_positive_int, 800),
-    "max_iter": (_arg_positive_int, 60),
-    "bailout": (_arg_float, 1e10),
-    "coloring": (_arg_coloring, "classification"),
-    "out": (str, None),
-    "csv": (str, None),
-    "threads": (_arg_positive_int, None),
-}
-
-_CLASSIFY_POINT_OPTS: dict[str, tuple[Callable[[str], Any], Any]] = {
-    "map": (_arg_map, "exponential"),
-    "a": (_arg_complex, None),
-    "z": (_arg_complex, None),
-    "depth": (_arg_positive_int, 100),
-    "bailout": (_arg_float, 1e10),
-}
-
-_CLASSIFY_PARAM_OPTS: dict[str, tuple[Callable[[str], Any], Any]] = {
-    "a": (_arg_complex, None),
-    "max_period": (_arg_positive_int, 32),
-    "depth": (_arg_positive_int, 2000),
-}
-
-_TRACE_HAIR_OPTS: dict[str, tuple[Callable[[str], Any], Any]] = {
-    "a": (_arg_complex, None),
-    "address": (_arg_address, None),
-    "tol": (_arg_float, 1e-10),
-    "max_depth": (_arg_positive_int, 512),
-    "depth": (_arg_positive_int, None),
-    "anchor": (_arg_complex, None),
-}
+_THREADS: _Option = (_arg_positive_int, None, "worker count")
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -198,12 +163,9 @@ def _load_config(path: str) -> dict[str, str]:
     return raw
 
 
-def _merged(
-    parser: argparse.ArgumentParser,
-    args: argparse.Namespace,
-    registry: dict[str, tuple[Callable[[str], Any], Any]],
-) -> dict[str, Any]:
-    """Resolve options: command line > config file > hard default."""
+def _merged(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict[str, Any]:
+    """Resolve the subcommand's options: command line > config file > hard default."""
+    registry: dict[str, _Option] = args.options
     from_file: dict[str, Any] = {}
     if getattr(args, "config", None):
         try:
@@ -218,7 +180,7 @@ def _merged(
             except argparse.ArgumentTypeError as exc:
                 parser.error(f"config key {key!r}: {exc}")
     out: dict[str, Any] = {}
-    for key, (_, default) in registry.items():
+    for key, (_, default, _) in registry.items():
         value = getattr(args, key, None)
         if value is None:
             value = from_file.get(key, default)
@@ -237,7 +199,7 @@ def _require(parser: argparse.ArgumentParser, opts: dict[str, Any], key: str) ->
 
 
 def _cmd_render(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    opts = _merged(parser, args, _RENDER_OPTS)
+    opts = _merged(parser, args)
     out_path = _require(parser, opts, "out")
     try:
         spec = RenderSpec(
@@ -261,7 +223,7 @@ def _cmd_render(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def _cmd_classify_point(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    opts = _merged(parser, args, _CLASSIFY_POINT_OPTS)
+    opts = _merged(parser, args)
     z = _require(parser, opts, "z")
     if opts["map"] == "fatou":
         try:
@@ -280,7 +242,7 @@ def _cmd_classify_point(parser: argparse.ArgumentParser, args: argparse.Namespac
 
 
 def _cmd_classify_param(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    opts = _merged(parser, args, _CLASSIFY_PARAM_OPTS)
+    opts = _merged(parser, args)
     a = _require(parser, opts, "a")
     try:
         p = Params(a=a)
@@ -293,7 +255,7 @@ def _cmd_classify_param(parser: argparse.ArgumentParser, args: argparse.Namespac
 
 
 def _cmd_trace_hair(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    opts = _merged(parser, args, _TRACE_HAIR_OPTS)
+    opts = _merged(parser, args)
     a = _require(parser, opts, "a")
     address = _require(parser, opts, "address")
     try:
@@ -332,66 +294,77 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 # parser assembly
 
 
-def _add_config_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="file of 'key = value' lines; flags override")
+_COMMANDS: dict[str, tuple[str, Callable[..., int], dict[str, _Option]]] = {
+    "render": (
+        "rasterize a map to a PGM image",
+        _cmd_render,
+        {
+            "map": (_arg_map, "exponential", "exp (default) or fatou"),
+            "a": (_arg_complex, 0j, "parameter, e.g. -2+0i"),
+            "viewport": (_arg_viewport, None, "x_min,x_max,y_min,y_max"),
+            "width": (_arg_positive_int, 800, "pixels per row"),
+            "height": (_arg_positive_int, 800, "pixel rows"),
+            "max_iter": (_arg_positive_int, 60, "iteration depth per pixel"),
+            "bailout": (_arg_float, 1e10, "escape radius, at most 1e15"),
+            "coloring": (_arg_coloring, "classification", "classification or escape-count"),
+            "out": (str, None, "output PGM path"),
+            "csv": (str, None, "also dump per-pixel 'x,y,tag,exit' CSV here"),
+            "threads": _THREADS,
+        },
+    ),
+    "classify-point": (
+        "classify one orbit",
+        _cmd_classify_point,
+        {
+            "map": (_arg_map, "exponential", "exp (default) or fatou"),
+            "a": (_arg_complex, None, "parameter (exp map)"),
+            "z": (_arg_complex, None, "seed point"),
+            "depth": (_arg_positive_int, 100, "orbit depth"),
+            "bailout": (_arg_float, 1e10, "escape radius, at most 1e15"),
+        },
+    ),
+    "classify-param": (
+        "classify a parameter",
+        _cmd_classify_param,
+        {
+            "a": (_arg_complex, None, "parameter"),
+            "max_period": (_arg_positive_int, 32, "longest cycle period tried"),
+            "depth": (_arg_positive_int, 2000, "singular orbit depth"),
+        },
+    ),
+    "trace-hair": (
+        "pull back a hair point",
+        _cmd_trace_hair,
+        {
+            "a": (_arg_complex, None, "parameter"),
+            "address": (_arg_address, None, "external address 'p1,p2|t1,t2'"),
+            "tol": (_arg_float, 1e-10, "endpoint residual target"),
+            "max_depth": (_arg_positive_int, 512, "deepest pullback tried"),
+            "depth": (_arg_positive_int, None, "fixed pullback depth (skips deepening)"),
+            "anchor": (_arg_complex, None, "pullback start point"),
+        },
+    ),
+}
+
+
+def _add_options(cmd: argparse.ArgumentParser, options: dict[str, _Option]) -> None:
+    for dest, (convert, _, help_text) in options.items():
+        cmd.add_argument("--" + dest.replace("_", "-"), dest=dest, type=convert, help=help_text)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="expbouquet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        _add_options(cmd, options)
+        cmd.add_argument("--config", help="file of 'key = value' lines; flags override")
+        cmd.set_defaults(handler=handler, options=options)
 
-    p_render = sub.add_parser("render", help="rasterize a map to a PGM image")
-    p_render.add_argument("--map", type=_arg_map, help="exp (default) or fatou")
-    p_render.add_argument("--a", type=_arg_complex, help="parameter, e.g. -2+0i")
-    p_render.add_argument(
-        "--viewport", type=_arg_viewport, help="x_min,x_max,y_min,y_max"
-    )
-    p_render.add_argument("--width", type=_arg_positive_int)
-    p_render.add_argument("--height", type=_arg_positive_int)
-    p_render.add_argument("--max-iter", dest="max_iter", type=_arg_positive_int)
-    p_render.add_argument("--bailout", type=_arg_float)
-    p_render.add_argument("--coloring", type=_arg_coloring)
-    p_render.add_argument("--out", help="output PGM path")
-    p_render.add_argument("--csv", help="also dump per-pixel 'x,y,tag,exit' CSV here")
-    p_render.add_argument("--threads", type=_arg_positive_int, help="worker count")
-    _add_config_flag(p_render)
-    p_render.set_defaults(handler=_cmd_render)
-
-    p_point = sub.add_parser("classify-point", help="classify one orbit")
-    p_point.add_argument("--map", type=_arg_map, help="exp (default) or fatou")
-    p_point.add_argument("--a", type=_arg_complex, help="parameter (exp map)")
-    p_point.add_argument("--z", type=_arg_complex, help="seed point")
-    p_point.add_argument("--depth", type=_arg_positive_int)
-    p_point.add_argument("--bailout", type=_arg_float)
-    _add_config_flag(p_point)
-    p_point.set_defaults(handler=_cmd_classify_point)
-
-    p_param = sub.add_parser("classify-param", help="classify a parameter")
-    p_param.add_argument("--a", type=_arg_complex, help="parameter")
-    p_param.add_argument("--max-period", dest="max_period", type=_arg_positive_int)
-    p_param.add_argument("--depth", type=_arg_positive_int)
-    _add_config_flag(p_param)
-    p_param.set_defaults(handler=_cmd_classify_param)
-
-    p_hair = sub.add_parser("trace-hair", help="pull back a hair point")
-    p_hair.add_argument("--a", type=_arg_complex, help="parameter")
-    p_hair.add_argument(
-        "--address", type=_arg_address, help="external address 'p1,p2|t1,t2'"
-    )
-    p_hair.add_argument("--tol", type=_arg_float, help="endpoint residual target")
-    p_hair.add_argument("--max-depth", dest="max_depth", type=_arg_positive_int)
-    p_hair.add_argument(
-        "--depth", type=_arg_positive_int, help="fixed pullback depth (skips deepening)"
-    )
-    p_hair.add_argument("--anchor", type=_arg_complex, help="pullback start point")
-    _add_config_flag(p_hair)
-    p_hair.set_defaults(handler=_cmd_trace_hair)
-
-    p_verify = sub.add_parser("verify", help="run a self-check suite")
-    p_verify.add_argument("suite", choices=sorted(SUITES))
-    p_verify.add_argument("--threads", type=_arg_positive_int, help="worker count")
-    p_verify.set_defaults(handler=_cmd_verify)
-
+    verify = sub.add_parser("verify", help="run a self-check suite")
+    verify.add_argument("suite", choices=sorted(SUITES))
+    _add_options(verify, {"threads": _THREADS})
+    verify.set_defaults(handler=_cmd_verify)
     return parser
 
 

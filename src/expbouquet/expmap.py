@@ -72,21 +72,6 @@ class Params:
         if r <= RE_OVERFLOW and max_modulus(a, r) <= r:
             raise ValueError(f"radius {r} does not satisfy M(r) > r for a={a}")
 
-    def eval(self, z: complex) -> complex:
-        return eval_map(self.a, z)
-
-    def deriv(self, z: complex) -> complex:
-        return deriv_map(self.a, z)
-
-    def orbit(self, z0: complex, depth: int, bailout: float = 1e10) -> list["OrbitSample"]:
-        return orbit(self.a, z0, depth, bailout)
-
-    def max_modulus(self, r: float) -> float:
-        return max_modulus(self.a, r)
-
-    def max_modulus_iterates(self, count: int) -> list[TowerReal]:
-        return max_modulus_iterates(self.a, self.radius, count)
-
 
 @dataclass(frozen=True)
 class OrbitSample:
@@ -123,40 +108,45 @@ def deriv_map(a: complex, z: complex) -> complex:
     return cmath.exp(z)
 
 
-def _track(a: complex, z0: complex, depth: int) -> tuple[list[complex | None], list[TowerReal]]:
-    """Iterate ``depth`` steps, returning points and magnitude towers.
+def _track(
+    a: complex, z0: complex, steps: int, bailout: float
+) -> tuple[list[complex | None], list[TowerReal]]:
+    """Iterate ``steps`` steps, returning points and magnitude towers.
 
-    Points are complex doubles while representable, then ``None``.  The
-    parallel list holds towers for ``|z_n|`` at every step.  Once the
-    direct track ends, the magnitude continues via ``Re z`` (the additive
-    term ``log|1 + a exp(-z)|`` is below 1e-300 there) and thereafter via
-    ``|z_{n+1}| = exp_plus(|z_n|, |a|)``.
+    The direct complex track runs while ``|z| <= bailout``, ``|z| < 1e15``
+    and ``Re z <= 700``; afterwards points are ``None`` and magnitudes
+    continue as towers under the far-right growth model
+    ``|z_{n+1}| = exp_plus(|z_n|, |a|)`` (or, when the switch was triggered
+    by ``Re z > 700``, from ``log |z_{n+1}| = Re z``: the additive term
+    ``log|1 + a exp(-z)|`` is below 1e-300 there).  The rasterizer's kernel
+    switches by the same rules.
     """
     abs_a = abs(a)
     zs: list[complex | None] = [z0]
     mags: list[TowerReal] = [TowerReal.from_real(max(abs(z0), _TINY))]
     z: complex | None = z0
-    for _ in range(depth):
-        if z is not None and z.real <= RE_OVERFLOW:
-            w = cmath.exp(z) + a
-            if abs(w) < MAG_GUARD:
-                zs.append(w)
-                mags.append(TowerReal.from_real(max(abs(w), _TINY)))
-                z = w
-            else:
-                # Next point still exactly computable but beyond the
-                # guard; keep its magnitude, drop the point.
+    for _ in range(steps):
+        if z is not None:
+            az = abs(z)
+            if az > bailout or az >= MAG_GUARD:
+                # Crossed the escape horizon: model growth from |z|.
+                mags.append(mags[-1].exp_plus(abs_a))
                 zs.append(None)
-                mags.append(TowerReal.from_real(abs(w)))
                 z = None
-        elif z is not None:
-            # Re z > 700: log |exp(z) + a| = Re z up to ~1e-300.
-            zs.append(None)
-            mags.append(TowerReal(1, z.real))
-            z = None
+                continue
+            if z.real > RE_OVERFLOW:
+                # exp(z) not representable; its log-magnitude is Re z.
+                mags.append(TowerReal(1, z.real))
+                zs.append(None)
+                z = None
+                continue
+            w = cmath.exp(z) + a
+            zs.append(w)
+            mags.append(TowerReal.from_real(max(abs(w), _TINY)))
+            z = w
         else:
-            zs.append(None)
             mags.append(mags[-1].exp_plus(abs_a))
+            zs.append(None)
     return zs, mags
 
 
@@ -165,16 +155,19 @@ def orbit(a: complex, z0: complex, depth: int, bailout: float = 1e10) -> list[Or
 
     Iteration stops early when an in-range point crosses ``bailout`` (that
     sample is included).  If the orbit instead jumps straight past the
-    representable range, the magnitude track continues to ``depth`` with
-    samples marked ``"overflowed"``.  Requires ``bailout <= 1e15``.
+    representable range (``|z| >= 1e15`` or ``Re z > 700``), the magnitude
+    track continues to ``depth`` with samples marked ``"overflowed"``.
+    The seed is always ``"in-range"``.  Requires ``bailout <= 1e15``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not 0.0 < bailout <= MAG_GUARD:
         raise ValueError("bailout must be in (0, 1e15]")
-    zs, mags = _track(a, z0, depth)
+    zs, mags = _track(a, z0, depth, bailout)
     samples: list[OrbitSample] = []
     for n, (z, mag) in enumerate(zip(zs, mags)):
+        if n > 0 and z is not None and abs(z) >= MAG_GUARD:
+            z = None
         status = "in-range" if z is not None else "overflowed"
         samples.append(OrbitSample(n=n, z=z, log_mag=mag.ln(), status=status))
         if z is not None and abs(z) > bailout:

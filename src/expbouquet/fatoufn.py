@@ -19,7 +19,6 @@ from .expmap import MAG_GUARD, OrbitSample
 from .towerfloat import TowerReal
 
 __all__ = [
-    "FatouOrbitSample",
     "fatou_eval",
     "h_eval",
     "semiconj_residual",
@@ -29,10 +28,6 @@ __all__ = [
     "DRIFT_WINDOW",
     "BOUNDED_BOX",
 ]
-
-# Drift-map orbit samples share the exponential-family sample shape
-# (and hence the same CSV serialization).
-FatouOrbitSample = OrbitSample
 
 # Real part below which exp(-z) overflows double precision.
 _RE_UNDERFLOW = -700.0
@@ -116,7 +111,7 @@ def fatou_orbit(z0: complex, depth: int, bailout: float = 1e10) -> list[OrbitSam
                 OrbitSample(
                     n=n,
                     z=None,
-                    log_mag=TowerReal(1, -w.real).ln(),
+                    log_mag=TowerReal.normalized(1, -w.real).ln(),
                     status="overflowed",
                 )
             )

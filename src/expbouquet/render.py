@@ -4,10 +4,10 @@ Each pixel is seeded at its cell center and classified with exactly the
 same rules as :func:`expbouquet.classify.classify_point` (respectively
 :func:`expbouquet.fatoufn.fatou_classify` for the drift map), evaluated
 in vectorized form: the kernel keeps per-pixel magnitude towers as
-(level, mantissa) arrays whose updates mirror ``TowerReal`` operation by
-operation.  The grid is cut into fixed horizontal blocks that are pure
-functions of the render description, so output bytes are identical
-across runs, worker counts and scheduling orders.
+(level, mantissa) arrays, updated and compared by the array tower ops of
+:mod:`expbouquet.towerfloat`.  The grid is cut into fixed horizontal
+blocks that are pure functions of the render description, so output bytes
+are identical across runs, worker counts and scheduling orders.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import ATTRACTING_BAND, CYCLE_DETECT_TOL
+from .classify import ATTRACT_CUT, CYCLE_DETECT_TOL
 from .expmap import MAG_GUARD, RE_OVERFLOW, _TINY, Params, max_modulus_iterates
 from .fatoufn import BOUNDED_BOX, DRIFT_THRESHOLD, DRIFT_WINDOW, _RE_UNDERFLOW
-from .towerfloat import LN_H
+from .towerfloat import TowerReal, exp_plus_array, from_real_array, gt_array
 
 __all__ = [
     "RenderSpec",
@@ -149,9 +149,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     model = np.zeros(npix, dtype=bool)  # pixel switched to the growth model
 
     with np.errstate(all="ignore"):
-        big0 = absz[0] >= MAG_GUARD
-        lvh[0] = np.where(big0, 1, 0)
-        mth[0] = np.where(big0, np.log(np.maximum(absz[0], 1.0)), np.maximum(absz[0], _TINY))
+        lvh[0], mth[0] = from_real_array(np.maximum(absz[0], _TINY))
 
         for n in range(1, total + 1):
             zprev = cur
@@ -173,27 +171,8 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
             if n > depth:
                 continue  # towers only feed escape tests, which stop at depth
 
-            plv = lvh[n - 1]
-            pmt = mth[n - 1]
-            # exp(value) + |a| on towers, branch for branch as in TowerReal:
-            #   level >= 1          -> (level+1, m)
-            #   level 0, m < ln(H)  -> from_real(exp(m) + |a|)
-            #   level 0, m <= 700   -> (1, m + log1p(|a| exp(-m)))
-            #   level 0, m >  700   -> (1, m)
-            val_small = np.exp(np.minimum(pmt, LN_H)) + abs_a
-            big_small = val_small >= MAG_GUARD
-            lv_small = np.where(big_small, 1, 0)
-            mt_small = np.where(big_small, np.log(np.maximum(val_small, 1.0)), val_small)
-            corr = np.log1p(abs_a * np.exp(-np.minimum(pmt, RE_OVERFLOW)))
-            mt_mid = np.where(pmt > RE_OVERFLOW, pmt, pmt + corr)
-            lv_grow = np.where(plv >= 1, plv + 1, np.where(pmt < LN_H, lv_small, 1))
-            mt_grow = np.where(plv >= 1, pmt, np.where(pmt < LN_H, mt_small, mt_mid))
-
-            azn = absz[n]
-            big_n = azn >= MAG_GUARD
-            lv_dir = np.where(big_n, 1, 0)
-            mt_dir = np.where(big_n, np.log(np.maximum(azn, 1.0)), np.maximum(azn, _TINY))
-
+            lv_grow, mt_grow = exp_plus_array(lvh[n - 1], mth[n - 1], abs_a)
+            lv_dir, mt_dir = from_real_array(np.maximum(absz[n], _TINY))
             lvh[n] = np.where(direct, lv_dir, lv_grow)
             mth[n] = np.where(direct, mt_dir, mt_grow)
             if reov.any():
@@ -202,11 +181,8 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                 mth[n][reov] = zprev.real[reov]
 
         # --- escape scan over steps 0..depth (strict tower > bailout) -------
-        if bailout >= MAG_GUARD:
-            bail_lv, bail_mt = 1, LN_H
-        else:
-            bail_lv, bail_mt = 0, bailout
-        crossed = (lvh > bail_lv) | ((lvh == bail_lv) & (mth > bail_mt))
+        bail = TowerReal.from_real(bailout)
+        crossed = gt_array(lvh, mth, bail.level, bail.mantissa)
         escaped = crossed.any(axis=0)
         exits = np.where(escaped, np.argmax(crossed, axis=0), -1).astype(np.int64)
 
@@ -228,10 +204,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                 span = depth - ell + 1
                 olv = lv_esc[ell : ell + span][:, remaining]
                 omt = mt_esc[ell : ell + span][:, remaining]
-                dominates = (olv > m_lv[:span, None]) | (
-                    (olv == m_lv[:span, None]) & (omt >= m_mt[:span, None])
-                )
-                ok = dominates.all(axis=0)
+                ok = ~gt_array(m_lv[:span, None], m_mt[:span, None], olv, omt).any(axis=0)
                 found[remaining[ok]] = ell
                 remaining = remaining[~ok]
             tags[esc_idx] = np.where(found >= 0, TAG_FAST, TAG_SLOW)
@@ -239,7 +212,6 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
         # --- basin detection on bounded pixels -------------------------------
         bounded = ~escaped
         if bounded.any():
-            attract_cut = math.log1p(-ATTRACTING_BAND)
             assigned = np.zeros(npix, dtype=bool)
             for q in range(1, min(32, depth) + 1):
                 close = (
@@ -255,7 +227,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                 acc = zhist[total - q].real.copy()
                 for i in range(total - q + 1, total):
                     acc = acc + zhist[i].real
-                close &= acc < attract_cut
+                close &= acc < ATTRACT_CUT
                 tags[close] = TAG_BASIN
                 assigned |= close
 
@@ -319,7 +291,10 @@ def classify_grid(spec: RenderSpec, workers: int | None = None) -> tuple[np.ndar
     never output bytes.
     """
     if workers is None:
-        workers = os.cpu_count() or 1
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # no CPU affinity on this platform
+            workers = os.cpu_count() or 1
     rows = _block_rows(spec)
     blocks = [(spec, y, min(y + rows, spec.height)) for y in range(0, spec.height, rows)]
     tags = np.empty((spec.height, spec.width), dtype=np.uint8)

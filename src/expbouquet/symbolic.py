@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .classify import FastEscaping, _classify_track, classify_point
-from .expmap import Params, eval_map
+from .classify import FastEscaping, classify_point
+from .expmap import Params, _track, eval_map
 from .towerfloat import TowerReal
 
 __all__ = [
@@ -306,7 +306,7 @@ def _double_plus(t: TowerReal, kappa: float) -> TowerReal:
     if t.level == 1:
         # log(2*e^m + kappa) = m + log(2 + kappa*e^-m)
         m = t.mantissa
-        return TowerReal(1, m + math.log(2.0 + kappa * math.exp(-min(m, 745.0))))
+        return TowerReal.normalized(1, m + math.log(2.0 + kappa * math.exp(-min(m, 745.0))))
     return t
 
 
@@ -339,8 +339,8 @@ def find_domination_index(
     z0_class = classify_point(p, z0, cls_depth, bailout)
     if isinstance(z0_class, FastEscaping):
         raise PreconditionError("z0 must not classify as FastEscaping")
-    s_zs, s_mags = _classify_track(p.a, s, depth, bailout)
-    z_zs, z_mags = _classify_track(p.a, z0, depth, bailout)
+    s_zs, s_mags = _track(p.a, s, depth, bailout)
+    z_zs, z_mags = _track(p.a, z0, depth, bailout)
     last_sign_positive = s.real > 0.0
     for n in range(depth + 1):
         if s_zs[n] is not None:

@@ -18,13 +18,20 @@ Normalization keeps representations unique and comparison lexicographic:
     ordering by value.
 
 Values >= H entering at level 0 are promoted to (1, ln value).  Negative and
-small values only ever live at level 0.
+small values only ever live at level 0.  Mantissas stay below H at every
+level, so a value too large for level L is always at level L + 1.
+
+Next to the scalar class, ``from_real_array``, ``exp_plus_array`` and
+``gt_array`` apply the same rules elementwise to (level, mantissa) NumPy
+arrays of finite magnitudes >= 0; the rasterizer's kernel is built on them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # Promotion threshold: level-0 mantissas stay below H, level>=1 towers are >= H.
 H = 1e15
@@ -52,9 +59,10 @@ class TowerReal:
                 f"level-{self.level} mantissa {self.mantissa} below ln(H)={LN_H:.6f};"
                 " use TowerReal.normalized"
             )
-        if self.level == 0 and abs(self.mantissa) >= H:
+        if abs(self.mantissa) >= H:
             raise ValueError(
-                f"level-0 mantissa {self.mantissa} at or above H={H:g}; use TowerReal.from_real"
+                f"level-{self.level} mantissa {self.mantissa} at or above H={H:g};"
+                " use TowerReal.normalized"
             )
 
     # ---- construction ----
@@ -80,7 +88,8 @@ class TowerReal:
         """Normalize an arbitrary (level, mantissa) pair to canonical form.
 
         Demotes levels whose mantissa is below ln(H) by evaluating exp, and
-        promotes level-0 values at or above H.  Idempotent.
+        promotes mantissas at or above H by one level (ln of any finite
+        float is below H).  Idempotent.
         """
         level = int(level)
         mantissa = float(mantissa)
@@ -91,6 +100,8 @@ class TowerReal:
             level -= 1
         if level == 0:
             return cls.from_real(mantissa)
+        if mantissa >= H:
+            return cls(level + 1, math.log(mantissa))
         return cls(level, mantissa)
 
     # ---- arithmetic (exp / ln only) ----
@@ -168,17 +179,37 @@ class TowerReal:
         return f"T({self.level};{self.mantissa:.17g})"
 
 
-def tf_from_real(x: float) -> TowerReal:
-    return TowerReal.from_real(x)
+def from_real_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise :meth:`TowerReal.from_real` for magnitudes ``x >= 0``."""
+    big = x >= H
+    return np.where(big, 1, 0), np.where(big, np.log(np.maximum(x, 1.0)), x)
 
 
-def tf_exp(t: TowerReal) -> TowerReal:
-    return t.exp()
+def exp_plus_array(
+    level: np.ndarray, mantissa: np.ndarray, c: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise :meth:`TowerReal.exp_plus`, branch for branch.
+
+    The clamps keep the unselected branches finite; each selected branch
+    evaluates the same float operations as the scalar method.  The results
+    are bit-identical except on the level-0 branch below ln(H), where
+    NumPy's ``exp`` and ``math.exp`` may round one ulp apart.
+    """
+    lv_small, mt_small = from_real_array(np.exp(np.minimum(mantissa, LN_H)) + c)
+    corr = np.log1p(c * np.exp(-np.minimum(mantissa, _EXP_DIRECT_MAX)))
+    mt_mid = np.where(mantissa > _EXP_DIRECT_MAX, mantissa, mantissa + corr)
+    small = mantissa < LN_H
+    up = level >= 1
+    return (
+        np.where(up, level + 1, np.where(small, lv_small, 1)),
+        np.where(up, mantissa, np.where(small, mt_small, mt_mid)),
+    )
 
 
-def tf_ln(t: TowerReal) -> TowerReal:
-    return t.ln()
+def gt_array(level: np.ndarray, mantissa: np.ndarray, other_level, other_mantissa) -> np.ndarray:
+    """Elementwise ``TowerReal(level, mantissa) > TowerReal(other_level, other_mantissa)``.
 
-
-def tf_cmp(a: TowerReal, b: TowerReal) -> int:
-    return a.cmp(b)
+    The arguments broadcast against each other.  A three-way ``cmp`` would
+    cost two such passes; callers needing ``>=`` negate the swapped test.
+    """
+    return (level > other_level) | ((level == other_level) & (mantissa > other_mantissa))

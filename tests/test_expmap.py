@@ -18,7 +18,7 @@ from expbouquet.expmap import (
     orbit,
     orbit_to_csv,
 )
-from expbouquet.towerfloat import TowerReal
+from expbouquet.towerfloat import LN_H, TowerReal
 
 small_complex = st.builds(
     complex,
@@ -49,12 +49,6 @@ class TestParams:
     def test_non_positive_radius_rejected(self):
         with pytest.raises(ValueError):
             Params(a=-2 + 0j, radius=-1.0)
-
-    def test_methods_delegate(self):
-        p = Params(a=-2 + 0j)
-        assert p.eval(0j) == eval_map(-2 + 0j, 0j)
-        assert p.deriv(1j) == deriv_map(-2 + 0j, 1j)
-        assert p.max_modulus(7.0) == max_modulus(-2 + 0j, 7.0)
 
 
 class TestEvalAndDeriv:
@@ -90,6 +84,13 @@ class TestOrbit:
         assert samples[3].z is None and samples[3].status == "overflowed"
         assert samples[3].log_mag == TowerReal(0, z2.real)
         assert samples[4].log_mag == TowerReal(1, z2.real)
+
+    def test_seed_beyond_guard_continues_on_canonical_towers(self):
+        # |z0| = 1e15 sits on the guard: every later step is a growth-model
+        # tower, and |z_n| = exp^n(|z0|) keeps its mantissa below H.
+        samples = orbit(-0.5 + 1j, 1e15 + 1j, depth=3, bailout=1e15)
+        assert [s.status for s in samples] == ["in-range"] + ["overflowed"] * 3
+        assert [s.log_mag for s in samples] == [TowerReal(n, LN_H) for n in range(4)]
 
     def test_stops_after_in_range_bailout_crossing(self):
         samples = orbit(-2 + 0j, 3 + 0j, depth=10, bailout=100.0)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,15 +11,33 @@ from expbouquet.towerfloat import (
     H,
     LN_H,
     TowerReal,
-    tf_cmp,
-    tf_exp,
-    tf_from_real,
-    tf_ln,
+    exp_plus_array,
+    from_real_array,
+    gt_array,
 )
 
 representable = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-9.9e14, max_value=1.7e308
 )
+
+# Magnitudes weighted towards the branch boundaries of from_real and
+# exp_plus: ln H, the direct-exp limit 700, and the promotion threshold H.
+_BOUNDARIES = (LN_H, 700.0, H)
+magnitudes = st.one_of(
+    st.floats(min_value=0.0, max_value=1.7e308),
+    st.sampled_from(
+        [math.nextafter(b, d) for b in _BOUNDARIES for d in (0.0, math.inf)] + list(_BOUNDARIES)
+    ),
+    st.sampled_from(_BOUNDARIES).flatmap(lambda b: st.floats(b * 0.95, b * 1.05)),
+)
+# Valid towers at levels 0-3 (a mantissa at or above H moves up one level).
+towers = st.builds(TowerReal.normalized, st.integers(min_value=0, max_value=3), magnitudes)
+# Additive corrections: 0 and |a| of the four paper figure parameters.
+CORRECTIONS = [0.0] + [abs(a) for a in (-2, 5 + 3.14j, 2.06 + 1.57j, 1.004 + 2.9j)]
+
+
+def _bits(level, mantissa) -> tuple[int, str]:
+    return int(level), float(mantissa).hex()
 
 
 class TestConstruction:
@@ -34,6 +53,13 @@ class TestConstruction:
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             TowerReal(-1, 0.0)
+
+    def test_mantissa_at_or_above_h_rejected(self):
+        # Such a pair would sort below smaller values one level up.
+        with pytest.raises(ValueError):
+            TowerReal(1, 1e300)
+        with pytest.raises(ValueError):
+            TowerReal(2, H)
 
     def test_non_finite_mantissa_rejected(self):
         with pytest.raises(ValueError):
@@ -59,6 +85,21 @@ class TestFromReal:
             TowerReal.from_real(math.inf)
         with pytest.raises(ValueError):
             TowerReal.from_real(math.nan)
+
+
+class TestNormalized:
+    def test_demotes_small_mantissa(self):
+        assert TowerReal.normalized(1, 3.0) == TowerReal.from_real(math.exp(3.0))
+
+    def test_promotes_mantissa_at_or_above_h(self):
+        t = TowerReal.normalized(1, 1e300)
+        assert t == TowerReal(2, math.log(1e300))
+        assert t > TowerReal(2, 40.0)
+        assert TowerReal.normalized(2, H) == TowerReal(3, LN_H)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            TowerReal.normalized(1, math.inf)
 
 
 class TestExp:
@@ -129,15 +170,6 @@ class TestCompareAndValue:
         assert str(TowerReal(1, 40.0)) == "T(1;40)"
 
 
-class TestWrappers:
-    def test_functions_match_methods(self):
-        t = tf_from_real(12.0)
-        assert t == TowerReal.from_real(12.0)
-        assert tf_exp(t) == t.exp()
-        assert tf_ln(t) == t.ln()
-        assert tf_cmp(t, tf_exp(t)) == -1
-
-
 class TestProperties:
     @given(representable)
     def test_value_round_trip(self, x):
@@ -175,3 +207,31 @@ class TestProperties:
     def test_exp_plus_dominates_exp(self, x, c):
         t = TowerReal.from_real(x)
         assert t.exp_plus(c).cmp(t.exp()) >= 0
+
+    @given(magnitudes)
+    def test_from_real_array_matches_scalar(self, x):
+        lv, mt = from_real_array(np.array([x]))
+        t = TowerReal.from_real(x)
+        assert _bits(lv[0], mt[0]) == _bits(t.level, t.mantissa)
+
+    @given(magnitudes)
+    def test_exp_plus_array_matches_scalar(self, m):
+        levels = [lv for lv in range(4) if m < H and (lv == 0 or m >= LN_H)]
+        for t in (TowerReal(lv, m) for lv in levels):
+            for c in CORRECTIONS:
+                lv, mt = exp_plus_array(np.array([t.level]), np.array([t.mantissa]), c)
+                want = t.exp_plus(c)
+                if t.level == 0 and t.mantissa < LN_H:
+                    # exp of a float: NumPy's vectorized exp and the C
+                    # library's math.exp may round differently by 1 ulp.
+                    assert int(lv[0]) == want.level
+                    assert float(mt[0]) == pytest.approx(want.mantissa, rel=2.0**-51, abs=0.0)
+                else:
+                    assert _bits(lv[0], mt[0]) == _bits(want.level, want.mantissa)
+
+    @given(towers, towers)
+    def test_gt_array_matches_scalar_order(self, t, u):
+        lv, mt = np.array([t.level, u.level]), np.array([t.mantissa, u.mantissa])
+        gt = gt_array(lv, mt, lv[::-1], mt[::-1])
+        assert gt.tolist() == [t > u, u > t]
+        assert int(gt[0]) - int(gt[1]) == t.cmp(u)
