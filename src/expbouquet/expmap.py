@@ -32,10 +32,15 @@ __all__ = [
     "max_modulus",
     "max_modulus_iterates",
     "RE_OVERFLOW",
+    "MM_DIRECT_MAX",
 ]
 
 # Largest real part for which exp() of a complex double is safely finite.
 RE_OVERFLOW = 700.0
+
+# Largest radius at which |f|^2 ~ e^(2r) on the circle fits in a double;
+# max_modulus_iterates continues past it with the tower step exp_plus.
+MM_DIRECT_MAX = 0.5 * math.log(np.finfo(np.float64).max)
 
 # Magnitude guard for the direct complex track: beyond this, points are
 # carried as magnitude towers only.
@@ -69,7 +74,7 @@ class Params:
         if not math.isfinite(r) or r <= 0.0:
             raise ValueError("radius must be positive and finite")
         object.__setattr__(self, "radius", r)
-        if r <= RE_OVERFLOW and max_modulus(a, r) <= r:
+        if r <= MM_DIRECT_MAX and max_modulus(a, r) <= r:
             raise ValueError(f"radius {r} does not satisfy M(r) > r for a={a}")
 
 
@@ -193,18 +198,23 @@ def orbit_to_csv(samples: Iterable[OrbitSample]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _circle_modulus_sq(a: complex, r: float, theta: np.ndarray) -> np.ndarray:
-    """``|exp(r e^{i theta}) + a|^2`` elementwise (theta within [-pi, pi])."""
+def _circle_terms(r: float, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(u, v, e^u, cos v, sin v)`` at ``u + iv = r e^{i theta}``, elementwise."""
     u = r * np.cos(theta)
     v = r * np.sin(theta)
-    e = np.exp(u)
-    re = e * np.cos(v) + a.real
-    im = e * np.sin(v) + a.imag
+    return u, v, np.exp(u), np.cos(v), np.sin(v)
+
+
+def _circle_modulus_sq(a: complex, terms: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``|exp(r e^{i theta}) + a|^2`` from :func:`_circle_terms` (theta within [-pi, pi])."""
+    _, _, e, cv, sv = terms
+    re = e * cv + a.real
+    im = e * sv + a.imag
     return re * re + im * im
 
 
-def _circle_stationarity(a: complex, r: float, theta: np.ndarray) -> np.ndarray:
-    """Scaled derivative of ``|f(r e^{i theta})|^2`` in ``theta``.
+def _circle_stationarity(a: complex, terms: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Scaled derivative of ``|f(r e^{i theta})|^2`` in ``theta``, from :func:`_circle_terms`.
 
     With ``u = r cos(theta)``, ``v = r sin(theta)``, ``E = e^u``, ``A = Re a``,
     ``B = Im a`` the stationarity condition is::
@@ -214,11 +224,8 @@ def _circle_stationarity(a: complex, r: float, theta: np.ndarray) -> np.ndarray:
     obtained after dividing out the positive factor ``r e^u``, so it is
     overflow-free for every radius up to the double-precision horizon.
     """
-    u = r * np.cos(theta)
-    v = r * np.sin(theta)
-    return -v * (np.exp(u) + a.real * np.cos(v) + a.imag * np.sin(v)) + u * (
-        a.imag * np.cos(v) - a.real * np.sin(v)
-    )
+    u, v, e, cv, sv = terms
+    return -v * (e + a.real * cv + a.imag * sv) + u * (a.imag * cv - a.real * sv)
 
 
 def max_modulus(a: complex, r: float) -> float:
@@ -227,13 +234,13 @@ def max_modulus(a: complex, r: float) -> float:
     Dense grid scan to bracket every descending sign change of the
     stationarity condition, then simultaneous bisection to double
     precision; the best critical value is compared against the grid
-    maximum.  Raises :class:`OverflowError` for ``r > 700`` where the
-    value exceeds the double range; use :func:`max_modulus_iterates` at
-    tower scale.
+    maximum.  Raises :class:`OverflowError` for ``r > MM_DIRECT_MAX``
+    (about 354.89), where ``|f|^2`` exceeds the double range; use
+    :func:`max_modulus_iterates` at tower scale.
     """
     if not r > 0.0:
         raise ValueError("r must be positive")
-    if r > RE_OVERFLOW:
+    if r > MM_DIRECT_MAX:
         raise OverflowError(
             f"max modulus at r={r!r} exceeds double range; "
             "use max_modulus_iterates for tower-scale values"
@@ -241,8 +248,9 @@ def max_modulus(a: complex, r: float) -> float:
     a = complex(a)
     n = max(4096, 32 * math.ceil(r))
     theta = np.linspace(-math.pi, math.pi, n + 1)
-    hs = _circle_stationarity(a, r, theta)
-    best = float(np.max(_circle_modulus_sq(a, r, theta)))
+    grid = _circle_terms(r, theta)
+    hs = _circle_stationarity(a, grid)
+    best = float(np.max(_circle_modulus_sq(a, grid)))
     # Interior maxima sit at descending sign changes of the derivative
     # (exact zeros on the grid are already covered by the grid maximum).
     desc = np.nonzero((hs[:-1] > 0.0) & (hs[1:] < 0.0))[0]
@@ -251,10 +259,10 @@ def max_modulus(a: complex, r: float) -> float:
         hi = theta[desc + 1]
         for _ in range(60):  # 2*pi / 2^60 is far below double resolution
             mid = 0.5 * (lo + hi)
-            pos = _circle_stationarity(a, r, mid) > 0.0
+            pos = _circle_stationarity(a, _circle_terms(r, mid)) > 0.0
             lo = np.where(pos, mid, lo)
             hi = np.where(pos, hi, mid)
-        crit = float(np.max(_circle_modulus_sq(a, r, 0.5 * (lo + hi))))
+        crit = float(np.max(_circle_modulus_sq(a, _circle_terms(r, 0.5 * (lo + hi)))))
         best = max(best, crit)
     return math.sqrt(best)
 
@@ -265,7 +273,7 @@ def _mm_iterates_cached(a: complex, r: float, count: int) -> tuple[TowerReal, ..
     abs_a = abs(a)
     for _ in range(count):
         prev = towers[-1]
-        if prev.level == 0 and prev.mantissa <= RE_OVERFLOW:
+        if prev.level == 0 and prev.mantissa <= MM_DIRECT_MAX:
             towers.append(TowerReal.from_real(max_modulus(a, prev.mantissa)))
         else:
             towers.append(prev.exp_plus(abs_a))
@@ -275,9 +283,9 @@ def _mm_iterates_cached(a: complex, r: float, count: int) -> tuple[TowerReal, ..
 def max_modulus_iterates(a: complex, r: float, count: int) -> list[TowerReal]:
     """Towers ``[r, M(r), M^2(r), ..., M^count(r)]`` of iterated maximum modulus.
 
-    Exact :func:`max_modulus` while the radius fits in a double; past 700
-    the tail switches to ``log M(r) = r + log1p(|a| exp(-r))``, which
-    agrees with the direct value to double precision wherever both apply.
+    Exact :func:`max_modulus` up to ``MM_DIRECT_MAX``; past it the tail
+    switches to ``log M(r) = r + log1p(|a| exp(-r))``, which agrees with
+    the circle maximum to double precision there.
     Strictly increasing whenever ``r >= 3 + 2|a|``.
     """
     if count < 0:

@@ -3,16 +3,15 @@
 Each pixel is seeded at its cell center and classified with exactly the
 same rules as :func:`expbouquet.classify.classify_point` (respectively
 :func:`expbouquet.fatoufn.fatou_classify` for the drift map), evaluated
-in vectorized form: the kernel keeps per-pixel magnitude towers as
-(level, mantissa) arrays, updated and compared by the array tower ops of
-:mod:`expbouquet.towerfloat`.  The grid is cut into fixed horizontal
+in vectorized form, in one forward pass that keeps no per-step history:
+magnitude towers are (level, mantissa) arrays under the array tower ops
+of :mod:`expbouquet.towerfloat`.  The grid is cut into fixed horizontal
 blocks that are pure functions of the render description, so output bytes
 are identical across runs, worker counts and scheduling orders.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -46,8 +45,6 @@ TAG_UNDECIDED = 4
 TAG_NAMES = ("FastEscaping", "EscapingSlow", "NonEscapingBounded", "Basin", "Undecided")
 
 _CLASS_COLORS = np.array([0, 96, 192, 255, 128], dtype=np.uint8)
-
-_NAN_C = complex(math.nan, math.nan)
 
 
 def default_viewport(map_kind: str, a: complex = 0j) -> tuple[float, float, float, float]:
@@ -103,11 +100,13 @@ class ImageGrid:
 
 
 def _block_rows(spec: RenderSpec) -> int:
-    """Rows per work block: fixed by the render description alone (never by worker count)."""
-    per_pixel_step = 40  # bytes of orbit/tower history per pixel per step
-    budget = 3 * 10**8
-    rows = budget // max(1, spec.width * (spec.max_iter + 11) * per_pixel_step)
-    return int(max(1, min(64, rows)))
+    """Rows per work block: fixed by the render description alone (never by worker count).
+
+    The exponential kernel holds about 1 kB per pixel (the 43-row orbit
+    tail plus per-step temporaries) whatever ``max_iter`` is, so its 300 MB
+    budget is split by the width alone.
+    """
+    return int(max(1, min(64, 3 * 10**8 // (spec.width * 1000))))
 
 
 def _pixel_centers(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,115 +123,107 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     """Classify one row block of an exponential-map raster.
 
     Returns (tags, exits) with shape (rows, width); exit is -1 where the
-    orbit never crossed the bailout within ``max_iter`` steps.
+    orbit never crossed the bailout within ``max_iter`` steps.  One forward
+    pass keeps per pixel the current point and tower, the exit step, the
+    orbit rows basin detection reads and a running fast-escape offset bound.
+
+    That bound is exact.  The table ``M^0 <= M^1 <= ...`` is nondecreasing,
+    so the orbit tower ``T_k >= M^n`` exactly for ``n < c(k)``, the number
+    of entries ``<= T_k``.  An offset ``ell`` passes every comparison of
+    the scalar search iff ``ell >= k + 1 - c(k)`` for all ``k <= max_iter``;
+    the pixel is fast iff that bound (at least 0) is ``<= max_iter - 3``.
     """
     a = spec.a
-    abs_a = abs(a)
-    radius = Params(a).radius
     depth = spec.max_iter
     total = depth + 10
-    bailout = spec.bailout
+    bail = TowerReal.from_real(spec.bailout)
+
+    # M^0(R) .. M^depth(R) by level: first[L] entries lie below level L and
+    # thresholds[j, L] is the j-th mantissa at L (inf past the last; the
+    # last column stands for every higher level).
+    towers = max_modulus_iterates(a, Params(a).radius, depth)
+    if any(x > y for x, y in zip(towers, towers[1:])):
+        raise RuntimeError(f"iterated maximum modulus is not monotone for a={a}")
+    levels = np.array([t.level for t in towers])
+    first = np.searchsorted(levels, np.arange(levels[-1] + 2))
+    rank = np.arange(levels.size) - first[levels]  # position within its level
+    thresholds = np.full((rank.max() + 1, first.size), np.inf)
+    thresholds[rank, levels] = [t.mantissa for t in towers]
 
     xs, ys = _pixel_centers(spec, y_start, y_stop)
-    z0 = (xs[None, :] + 1j * ys[:, None]).reshape(-1)
-    npix = z0.size
-
-    # Orbit history for cycle detection; tower history for escape tests.
-    zhist = np.full((total + 1, npix), _NAN_C, dtype=np.complex128)
-    absz = np.full((total + 1, npix), np.nan, dtype=np.float64)
-    lvh = np.zeros((depth + 1, npix), dtype=np.int64)
-    mth = np.zeros((depth + 1, npix), dtype=np.float64)
-
-    cur = z0.astype(np.complex128)
-    zhist[0] = cur
-    absz[0] = np.abs(cur)
+    cur = (xs[None, :] + 1j * ys[:, None]).reshape(-1)
+    npix = cur.size
+    tail_from = max(0, depth - 32)  # basin detection reads steps tail_from .. total
+    tail = np.empty((total + 1 - tail_from, npix), dtype=np.complex128)
     model = np.zeros(npix, dtype=bool)  # pixel switched to the growth model
+    exits = np.full(npix, -1, dtype=np.int64)
+    offset = np.zeros(npix, dtype=np.int64)  # least admissible fast-escape offset
 
     with np.errstate(all="ignore"):
-        lvh[0], mth[0] = from_real_array(np.maximum(absz[0], _TINY))
+        az = np.abs(cur)
+        lv, mt = from_real_array(np.maximum(az, _TINY))
+        for n in range(total + 1):
+            if n >= tail_from:
+                tail[n - tail_from] = cur
+            if n <= depth:
+                exits[(exits < 0) & gt_array(lv, mt, bail.level, bail.mantissa)] = n
+                lvc = np.minimum(lv, first.size - 1)
+                count = first[lvc]  # c(n)
+                for row in thresholds:
+                    count = count + (row[lvc] <= mt)
+                offset = np.maximum(offset, n + 1 - count)
+            if n == total:
+                break
 
-        for n in range(1, total + 1):
-            zprev = cur
-            az = absz[n - 1]
             # Switch rules, in the same priority order as the scalar track:
             # magnitude past the bailout (or the tower guard) first, then
             # real part past the direct-exp range.
-            cross = ~model & ((az > bailout) | (az >= MAG_GUARD))
-            model = model | cross
+            zprev = cur
+            model = model | (az > spec.bailout) | (az >= MAG_GUARD)
             reov = ~model & (zprev.real > RE_OVERFLOW)
             model = model | reov
             direct = ~model
+            cur = np.where(direct, np.exp(zprev) + a, np.nan)
+            az = np.abs(cur)
+            if n >= depth:
+                continue  # towers only feed the verdicts, which stop at depth
 
-            w = np.exp(zprev) + a
-            cur = np.where(direct, w, _NAN_C)
-            zhist[n] = cur
-            absz[n] = np.abs(cur)
-
-            if n > depth:
-                continue  # towers only feed escape tests, which stop at depth
-
-            lv_grow, mt_grow = exp_plus_array(lvh[n - 1], mth[n - 1], abs_a)
-            lv_dir, mt_dir = from_real_array(np.maximum(absz[n], _TINY))
-            lvh[n] = np.where(direct, lv_dir, lv_grow)
-            mth[n] = np.where(direct, mt_dir, mt_grow)
+            lv_grow, mt_grow = exp_plus_array(lv, mt, abs(a))
+            lv_dir, mt_dir = from_real_array(np.maximum(az, _TINY))
+            lv = np.where(direct, lv_dir, lv_grow)
+            mt = np.where(direct, mt_dir, mt_grow)
             if reov.any():
                 # log-magnitude of the unrepresentable exp(z) is exactly Re z
-                lvh[n][reov] = 1
-                mth[n][reov] = zprev.real[reov]
+                lv[reov] = 1
+                mt[reov] = zprev.real[reov]
 
-        # --- escape scan over steps 0..depth (strict tower > bailout) -------
-        bail = TowerReal.from_real(bailout)
-        crossed = gt_array(lvh, mth, bail.level, bail.mantissa)
-        escaped = crossed.any(axis=0)
-        exits = np.where(escaped, np.argmax(crossed, axis=0), -1).astype(np.int64)
-
+        escaped = exits >= 0
         tags = np.full(npix, TAG_BOUNDED, dtype=np.uint8)
+        tags[escaped] = np.where(offset[escaped] <= depth - 3, TAG_FAST, TAG_SLOW)
 
-        # --- fast-escape offset search on escaped pixels ---------------------
-        esc_idx = np.nonzero(escaped)[0]
-        if esc_idx.size:
-            m_towers = max_modulus_iterates(a, radius, depth)
-            m_lv = np.array([t.level for t in m_towers], dtype=np.int64)
-            m_mt = np.array([t.mantissa for t in m_towers], dtype=np.float64)
-            lv_esc = lvh[:, esc_idx]
-            mt_esc = mth[:, esc_idx]
-            remaining = np.arange(esc_idx.size)
-            found = np.full(esc_idx.size, -1, dtype=np.int64)
-            for ell in range(max(0, depth - 2)):
-                if remaining.size == 0:
-                    break
-                span = depth - ell + 1
-                olv = lv_esc[ell : ell + span][:, remaining]
-                omt = mt_esc[ell : ell + span][:, remaining]
-                ok = ~gt_array(m_lv[:span, None], m_mt[:span, None], olv, omt).any(axis=0)
-                found[remaining[ok]] = ell
-                remaining = remaining[~ok]
-            tags[esc_idx] = np.where(found >= 0, TAG_FAST, TAG_SLOW)
-
-        # --- basin detection on bounded pixels -------------------------------
-        bounded = ~escaped
+        bounded = ~escaped  # basin detection on bounded pixels
         if bounded.any():
+            z_depth, z_total = tail[depth - tail_from], tail[-1]
             assigned = np.zeros(npix, dtype=bool)
             for q in range(1, min(32, depth) + 1):
                 close = (
                     bounded
                     & ~assigned
-                    & (np.abs(zhist[depth] - zhist[depth - q]) < CYCLE_DETECT_TOL)
-                    & (np.abs(zhist[total] - zhist[total - q]) < CYCLE_DETECT_TOL)
+                    & (np.abs(z_depth - tail[depth - tail_from - q]) < CYCLE_DETECT_TOL)
+                    & (np.abs(z_total - tail[-1 - q]) < CYCLE_DETECT_TOL)
                 )
                 if not close.any():
                     continue
                 # Ascending sequential window sum, matching the scalar
                 # classifier's summation order term for term.
-                acc = zhist[total - q].real.copy()
-                for i in range(total - q + 1, total):
-                    acc = acc + zhist[i].real
+                acc = tail[-1 - q].real.copy()
+                for row in tail[-q:-1]:
+                    acc = acc + row.real
                 close &= acc < ATTRACT_CUT
                 tags[close] = TAG_BASIN
                 assigned |= close
 
-    rows = y_stop - y_start
-    return tags.reshape(rows, spec.width), exits.reshape(rows, spec.width)
+    return tags.reshape(-1, spec.width), exits.reshape(-1, spec.width)
 
 
 def _fatou_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray, np.ndarray]:

@@ -144,6 +144,13 @@ class TestClassifyCommands:
         assert code == 0
         assert out.strip() == "class=FastEscaping ell=0"
 
+    def test_fast_escaping_point_with_radius_iterate_past_direct_range(self, capsys):
+        # M(R) for a = -1.5 lies in (MM_DIRECT_MAX, 700], where |f|^2 on the
+        # circle exceeds the double range.
+        code, out, _ = run(["classify-point", "--a=-1.5", "--z", "3"], capsys)
+        assert code == 0
+        assert out.strip() == "class=FastEscaping ell=1"
+
     def test_fatou_point_needs_no_parameter(self, capsys):
         code, out, _ = run(["classify-point", "--map", "fatou", "--z", "10"], capsys)
         assert code == 0

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from expbouquet.expmap import (
+    MM_DIRECT_MAX,
     OrbitSample,
     Params,
     deriv_map,
@@ -135,6 +136,12 @@ class TestMaxModulus:
             max_modulus(-2 + 0j, 0.0)
         with pytest.raises(OverflowError):
             max_modulus(-2 + 0j, 700.5)
+        with pytest.raises(OverflowError):
+            max_modulus(-2 + 0j, math.nextafter(MM_DIRECT_MAX, math.inf))
+
+    @pytest.mark.parametrize("a", [0j, -2 + 0j, 5 + 3.14j, -300 + 0j])
+    def test_finite_at_direct_limit(self, a):
+        assert math.isfinite(max_modulus(a, MM_DIRECT_MAX))
 
     @given(
         st.builds(
@@ -164,6 +171,22 @@ class TestMaxModulusIterates:
     def test_strictly_increasing(self):
         towers = max_modulus_iterates(-2 + 0j, 7.0, 6)
         assert all(a.cmp(b) < 0 for a, b in zip(towers, towers[1:]))
+
+    @given(
+        st.complex_numbers(max_magnitude=400.0, allow_nan=False),
+        st.integers(min_value=1, max_value=200),
+    )
+    # M(R) (|a| = 1.5 .. 1.7) or R itself (|a| = 200, 300) lies in
+    # (MM_DIRECT_MAX, 700], where |f|^2 on the circle exceeds a double.
+    @example(-1.5 + 0j, 40)
+    @example(-1.6 + 0j, 40)
+    @example(1.7 + 0j, 40)
+    @example(200 + 0j, 40)
+    @example(-300 + 0j, 40)
+    def test_strictly_increasing_from_default_radius(self, a, depth):
+        # The rasterizer's one-pass fast-escape bound relies on this order.
+        towers = max_modulus_iterates(a, Params(a=a).radius, depth)
+        assert all(x.cmp(y) < 0 for x, y in zip(towers, towers[1:]))
 
     def test_count_zero(self):
         assert max_modulus_iterates(-2 + 0j, 7.0, 0) == [TowerReal(0, 7.0)]

@@ -1,10 +1,18 @@
 """Tests for the deterministic classification rasterizer."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from expbouquet.classify import classify_point
-from expbouquet.expmap import Params
+from expbouquet.classify import (
+    _detect_basin_period,
+    _first_exit,
+    _least_domination_offset,
+    classify_point,
+)
+from expbouquet.expmap import Params, _track, max_modulus_iterates
 from expbouquet.render import (
     TAG_BASIN,
     TAG_BOUNDED,
@@ -30,6 +38,60 @@ SMALL = RenderSpec(
     height=6,
     max_iter=50,
 )
+
+
+def _exp_spec(a, max_iter=20, size=24, **kw):
+    return RenderSpec(
+        map_kind="exponential", a=a, width=size, height=size, max_iter=max_iter, **kw
+    )
+
+
+# Scalar/grid differential: SMALL, 24x24 grids of the four figure parameters
+# and four more at two depths, plus edge grids at the branch boundaries.
+DIFFERENTIAL_SPECS = {
+    "small": SMALL,
+    **{
+        f"a={a}-iter{max_iter}": _exp_spec(a, max_iter)
+        for a in (-2, 5 + 3.14j, 2.06 + 1.57j, 1.004 + 2.9j, 0.3, -0.5 + 1j, 2, -1.5)
+        for max_iter in (20, 60)
+    },
+    # seeds on both sides of Re z = 700
+    "seed-re-700": _exp_spec(-2, viewport=(690.0, 710.0, -5.0, 5.0), size=12),
+    # first iterates on both sides of Re z = 700 (e^z - 2 = 700 at z = ln 702)
+    "iterate-re-700": _exp_spec(
+        -2,
+        viewport=(math.log(702) - 0.02, math.log(702) + 0.02, -0.02, 0.02),
+        size=12,
+        bailout=1e15,
+    ),
+    "bailout-0.5": _exp_spec(-2, bailout=0.5, size=12),
+    "bailout-34.5": _exp_spec(5 + 3.14j, bailout=34.5, size=12),
+    "bailout-1e15": _exp_spec(1.004 + 2.9j, bailout=1e15, size=12),
+    "iter-1": _exp_spec(-2, max_iter=1, size=12),
+    "iter-2": _exp_spec(5 + 3.14j, max_iter=2, size=12),
+    "iter-3": _exp_spec(2.06 + 1.57j, max_iter=3, size=12),
+}
+
+
+def _scalar_verdict(p, z, depth, bailout):
+    """(class name, exit step of EscapingSlow) by the scalar classifier.
+
+    ``classify_point`` needs ``depth >= 10``; shallower rasters are checked
+    against the same helpers it is composed of, in the same order.
+    """
+    if depth >= 10:
+        got = classify_point(p, z, depth=depth, bailout=bailout)
+        return type(got).__name__, getattr(got, "first_exit_step", None)
+    zs, mags = _track(p.a, z, depth + 10, bailout)
+    exit_step = _first_exit(mags, bailout, depth)
+    if exit_step is not None:
+        m_towers = max_modulus_iterates(p.a, p.radius, depth)
+        if _least_domination_offset(mags, m_towers, depth) is not None:
+            return "FastEscaping", None
+        return "EscapingSlow", exit_step
+    if _detect_basin_period(zs, depth) is not None:
+        return "Basin", None
+    return "NonEscapingBounded", None
 
 
 class TestRenderSpec:
@@ -95,16 +157,21 @@ class TestClassificationColors:
         want = np.array([colors[t] for t in tags.ravel()], dtype=np.uint8)
         assert np.array_equal(img, want)
 
-    def test_matches_scalar_classifier(self):
-        p = Params(a=SMALL.a)
-        tags, exits = classify_grid(SMALL, workers=1)
-        name_by_tag = dict(enumerate(TAG_NAMES))
-        for i in range(SMALL.height):
-            for j in range(SMALL.width):
-                x = -4.0 + (j + 0.5) * 1.0
-                y = 3.0 - (i + 0.5) * 1.0
-                got = classify_point(p, complex(x, y), depth=SMALL.max_iter)
-                assert type(got).__name__ == name_by_tag[tags[i, j]]
+    @pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS.values(), ids=DIFFERENTIAL_SPECS.keys())
+    def test_matches_scalar_classifier(self, spec):
+        p = Params(a=spec.a)
+        tags, exits = classify_grid(spec, workers=1)
+        x0, x1, y0, y1 = spec.viewport
+        dx = (x1 - x0) / spec.width
+        dy = (y1 - y0) / spec.height
+        for i in range(spec.height):
+            for j in range(spec.width):
+                z = complex(x0 + (j + 0.5) * dx, y1 - (i + 0.5) * dy)
+                name, exit_step = _scalar_verdict(p, z, spec.max_iter, spec.bailout)
+                assert (name, exit_step) == (
+                    TAG_NAMES[tags[i, j]],
+                    exits[i, j] if tags[i, j] == TAG_SLOW else None,
+                ), (i, j, z)
 
 
 class TestEscapeCountColoring:
@@ -164,6 +231,20 @@ class TestDeterminism:
         stags, sexits = classify_grid(sub, workers=2)
         assert np.array_equal(ftags[32:96, 24:72], stags)
         assert np.array_equal(fexits[32:96, 24:72], sexits)
+
+
+class TestKernelMemory:
+    def test_peak_does_not_grow_with_max_iter(self):
+        def peak(max_iter):
+            spec = _exp_spec(-2, max_iter=max_iter, size=64)
+            tracemalloc.start()
+            try:
+                classify_grid(spec, workers=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(400) < 1.5 * peak(40)
 
 
 class TestFatouRendering:
