@@ -15,7 +15,7 @@ from expbouquet import Params, max_modulus, max_modulus_iterates
 
 A = -2 + 0j
 p = Params(a=A)
-print("parameter a =", A, "| default radius R = 3 + 2|a| =", p.radius)
+print("parameter a =", A, "| base radius R = 3 + 2|a| =", p.radius)
 
 # Compare against brute force on a dense circle grid.
 for r in (np.pi, 7.0, 20.0):

@@ -20,7 +20,7 @@ for z0 in (-2 + 0j, 0.5 + 0j, 10 + 0j, 1.2 + 0j, 2 + 12j):
 
 # The fast-escape certificate is the least offset ell such that from
 # step ell on the orbit's magnitude dominates the iterated maximum
-# modulus sequence started at the default radius.
+# modulus sequence started at the base radius.
 for z0 in (10 + 0j, 1.2 + 0j):
     ell = fast_escape_test(p, z0, depth=40)
     print(f"fast_escape_test({z0}) -> ell = {ell}")

@@ -189,8 +189,8 @@ def classify_point(
     orbits are matched against cycles of period up to 32, with the verdict
     re-checked 10 iterations past ``depth``.
     """
-    if depth < 10:
-        raise ValueError("depth must be >= 10")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if not 0.0 < bailout <= MAG_GUARD:
         raise ValueError("bailout must be in (0, 1e15]")
     total = depth + 10

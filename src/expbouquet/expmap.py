@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -55,27 +55,22 @@ _TINY = 2.2250738585072014e-308
 class Params:
     """Parameter bundle for one member of the exponential family.
 
-    ``radius`` is the base radius for fast-escape comparisons; the default
-    ``3 + 2|a|`` guarantees ``M(r) > r`` for every ``r >= radius``.  The
-    inequality is checked at construction for ``r = radius``.
+    ``radius`` is the base radius ``R = 3 + 2|a|`` of fast-escape
+    comparisons.  It satisfies ``M(r) > r`` for every ``r >= R`` without a
+    check: ``M(r) >= e^r - |a|`` and ``e^r >= 1 + r + r^2/2 > r + (r-3)/2
+    >= r + |a|``.
     """
 
     a: complex
-    radius: float = 0.0
+    radius: float = field(init=False)
 
     def __post_init__(self) -> None:
         a = complex(self.a)
+        r = 3.0 + 2.0 * abs(a)
+        if not math.isfinite(r):
+            raise ValueError("parameter a must be finite with finite |a|")
         object.__setattr__(self, "a", a)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise ValueError("parameter a must be finite")
-        r = float(self.radius)
-        if r == 0.0:
-            r = 3.0 + 2.0 * abs(a)
-        if not math.isfinite(r) or r <= 0.0:
-            raise ValueError("radius must be positive and finite")
         object.__setattr__(self, "radius", r)
-        if r <= MM_DIRECT_MAX and max_modulus(a, r) <= r:
-            raise ValueError(f"radius {r} does not satisfy M(r) > r for a={a}")
 
 
 @dataclass(frozen=True)

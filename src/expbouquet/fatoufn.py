@@ -15,7 +15,7 @@ import cmath
 import math
 
 from .classify import EscapingSlow, NonEscapingBounded, PointClass, Undecided
-from .expmap import MAG_GUARD, OrbitSample
+from .expmap import MAG_GUARD, _TINY, OrbitSample
 from .towerfloat import TowerReal
 
 __all__ = [
@@ -94,13 +94,12 @@ def fatou_orbit(z0: complex, depth: int, bailout: float = 1e10) -> list[OrbitSam
         raise ValueError("depth must be >= 1")
     if not 0.0 < bailout <= MAG_GUARD:
         raise ValueError("bailout must be in (0, 1e15]")
-    tiny = 2.2250738585072014e-308
     w = complex(z0)
     samples = [
         OrbitSample(
             n=0,
             z=w,
-            log_mag=TowerReal.from_real(max(abs(w), tiny)).ln(),
+            log_mag=TowerReal.from_real(max(abs(w), _TINY)).ln(),
             status="in-range",
         )
     ]
@@ -121,7 +120,7 @@ def fatou_orbit(z0: complex, depth: int, bailout: float = 1e10) -> list[OrbitSam
             OrbitSample(
                 n=n,
                 z=w,
-                log_mag=TowerReal.from_real(max(abs(w), tiny)).ln(),
+                log_mag=TowerReal.from_real(max(abs(w), _TINY)).ln(),
                 status="in-range",
             )
         )
@@ -138,8 +137,8 @@ def fatou_classify(z: complex, depth: int = 100) -> PointClass:
     is linear, so this replaces a bailout test); bounded when the orbit
     stays inside ``|z| <= 1e6`` for ``depth`` steps; undecided otherwise.
     """
-    if depth < 10:
-        raise ValueError("depth must be >= 10")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     w = complex(z)
     max_abs = abs(w)
     run = 0

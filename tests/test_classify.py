@@ -88,7 +88,7 @@ class TestClassifyPoint:
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            classify_point(P2, 0j, depth=9)
+            classify_point(P2, 0j, depth=0)
         with pytest.raises(ValueError):
             classify_point(P2, 0j, bailout=0.0)
         with pytest.raises(ValueError):

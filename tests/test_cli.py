@@ -105,10 +105,10 @@ class TestArgumentErrors:
 
     def test_module_precondition_maps_to_argument_error(self, capsys):
         code, _, err = run(
-            ["classify-point", "--a", "-2+0i", "--z", "1", "--depth", "5"], capsys
+            ["classify-point", "--a", "-2+0i", "--z", "1", "--bailout", "2e15"], capsys
         )
         assert code == 2
-        assert "depth" in err
+        assert "bailout" in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(["--help"], capsys)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from expbouquet import expmap
 from expbouquet.expmap import (
     MM_DIRECT_MAX,
     OrbitSample,
@@ -40,16 +41,23 @@ class TestParams:
         assert Params(a=-2 + 0j).radius == 7.0
         assert Params(a=0j).radius == 3.0
 
-    def test_custom_radius_kept(self):
-        assert Params(a=-2 + 0j, radius=9.5).radius == 9.5
-
     def test_non_finite_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            Params(a=complex(math.inf, 0.0))
+        # (1e308, 1e308) has finite parts, but |a| overflows the radius.
+        for a in (complex(math.inf, 0.0), complex(math.nan, 0.0), complex(1e308, 1e308)):
+            with pytest.raises(ValueError):
+                Params(a=a)
 
-    def test_non_positive_radius_rejected(self):
-        with pytest.raises(ValueError):
-            Params(a=-2 + 0j, radius=-1.0)
+    def test_radius_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            Params(a=-2 + 0j, radius=9.5)
+
+    def test_construction_needs_no_max_modulus(self, monkeypatch):
+        def refuse(a, r):
+            raise AssertionError("Params called max_modulus")
+
+        monkeypatch.setattr(expmap, "max_modulus", refuse)
+        for a in (-2 + 0j, 5 + 3.14j, 2.06 + 1.57j, 1.004 + 2.9j):
+            assert Params(a).radius == 3.0 + 2.0 * abs(a)
 
 
 class TestEvalAndDeriv:
@@ -178,6 +186,10 @@ class TestMaxModulusIterates:
     )
     # M(R) (|a| = 1.5 .. 1.7) or R itself (|a| = 200, 300) lies in
     # (MM_DIRECT_MAX, 700], where |f|^2 on the circle exceeds a double.
+    # R = 3 is the smallest base radius; R = 354.8 the largest that
+    # max_modulus evaluates directly.
+    @example(0j, 40)
+    @example(175.9 + 0j, 40)
     @example(-1.5 + 0j, 40)
     @example(-1.6 + 0j, 40)
     @example(1.7 + 0j, 40)
@@ -185,6 +197,7 @@ class TestMaxModulusIterates:
     @example(-300 + 0j, 40)
     def test_strictly_increasing_from_default_radius(self, a, depth):
         # The rasterizer's one-pass fast-escape bound relies on this order.
+        # Its first step, R < M(R), is the inequality Params relies on unchecked.
         towers = max_modulus_iterates(a, Params(a=a).radius, depth)
         assert all(x.cmp(y) < 0 for x, y in zip(towers, towers[1:]))
 

@@ -103,4 +103,4 @@ class TestClassify:
 
     def test_depth_precondition(self):
         with pytest.raises(ValueError):
-            fatou_classify(0j, depth=9)
+            fatou_classify(0j, depth=0)

@@ -6,13 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expbouquet.classify import (
-    _detect_basin_period,
-    _first_exit,
-    _least_domination_offset,
-    classify_point,
-)
-from expbouquet.expmap import Params, _track, max_modulus_iterates
+from expbouquet.classify import classify_point
+from expbouquet.expmap import Params
 from expbouquet.render import (
     TAG_BASIN,
     TAG_BOUNDED,
@@ -74,24 +69,9 @@ DIFFERENTIAL_SPECS = {
 
 
 def _scalar_verdict(p, z, depth, bailout):
-    """(class name, exit step of EscapingSlow) by the scalar classifier.
-
-    ``classify_point`` needs ``depth >= 10``; shallower rasters are checked
-    against the same helpers it is composed of, in the same order.
-    """
-    if depth >= 10:
-        got = classify_point(p, z, depth=depth, bailout=bailout)
-        return type(got).__name__, getattr(got, "first_exit_step", None)
-    zs, mags = _track(p.a, z, depth + 10, bailout)
-    exit_step = _first_exit(mags, bailout, depth)
-    if exit_step is not None:
-        m_towers = max_modulus_iterates(p.a, p.radius, depth)
-        if _least_domination_offset(mags, m_towers, depth) is not None:
-            return "FastEscaping", None
-        return "EscapingSlow", exit_step
-    if _detect_basin_period(zs, depth) is not None:
-        return "Basin", None
-    return "NonEscapingBounded", None
+    """(class name, exit step of EscapingSlow) by the scalar classifier."""
+    got = classify_point(p, z, depth=depth, bailout=bailout)
+    return type(got).__name__, getattr(got, "first_exit_step", None)
 
 
 class TestRenderSpec:
@@ -259,12 +239,13 @@ class TestFatouRendering:
         # Slow escape records the start of the certified drift run.
         assert np.all((exits >= 1) == (tags == TAG_SLOW))
 
-    def test_matches_pointwise_classifier(self):
+    @pytest.mark.parametrize("max_iter", [60, 5])
+    def test_matches_pointwise_classifier(self, max_iter):
         from expbouquet.fatoufn import fatou_classify
 
         spec = RenderSpec(
             map_kind="fatou", viewport=(-3.0, 9.0, -7.0, 7.0),
-            width=12, height=10, max_iter=60,
+            width=12, height=10, max_iter=max_iter,
         )
         tags, _ = classify_grid(spec, workers=1)
         dx = 12.0 / 12
@@ -273,7 +254,7 @@ class TestFatouRendering:
         for i in range(10):
             for j in range(12):
                 z = complex(-3.0 + (j + 0.5) * dx, 7.0 - (i + 0.5) * dy)
-                got = fatou_classify(z, depth=60)
+                got = fatou_classify(z, depth=max_iter)
                 assert type(got).__name__ == name_by_tag[tags[i, j]]
 
 
