@@ -5,7 +5,11 @@ same rules as :func:`expbouquet.classify.classify_point` (respectively
 :func:`expbouquet.fatoufn.fatou_classify` for the drift map), evaluated
 in vectorized form, in one forward pass that keeps no per-step history:
 magnitude towers are (level, mantissa) arrays under the array tower ops
-of :mod:`expbouquet.towerfloat`.  The grid is cut into fixed horizontal
+of :mod:`expbouquet.towerfloat`.  Each kernel iterates only the pixels
+that still need a step: the exponential kernel keeps a direct set (points
+evaluated with ``exp``) and a growth-model set (towers advanced with
+``exp_plus``), the drift kernel a live set that pixels leave on underflow
+or certified escape.  The grid is cut into fixed horizontal
 blocks that are pure functions of the render description, so output bytes
 are identical across runs, worker counts and scheduling orders.
 """
@@ -124,8 +128,14 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
 
     Returns (tags, exits) with shape (rows, width); exit is -1 where the
     orbit never crossed the bailout within ``max_iter`` steps.  One forward
-    pass keeps per pixel the current point and tower, the exit step, the
-    orbit rows basin detection reads and a running fast-escape offset bound.
+    pass keeps two pixel sets.  The direct set carries the current point,
+    its modulus and the tower of that modulus; the growth-model set carries
+    the tower alone, which ``exp_plus_array`` advances.  A pixel moves to
+    the model set on the scalar track's switch rules and never back, so
+    each step evaluates ``exp`` only on direct pixels and ``exp_plus`` only
+    on model pixels.  Every pixel keeps its exit step and a running
+    fast-escape offset bound; the direct set writes its points into the
+    orbit rows basin detection reads, where model pixels stay NaN.
 
     That bound is exact.  The table ``M^0 <= M^1 <= ...`` is nondecreasing,
     so the orbit tower ``T_k >= M^n`` exactly for ``n < c(k)``, the number
@@ -151,20 +161,25 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     thresholds[rank, levels] = [t.mantissa for t in towers]
 
     xs, ys = _pixel_centers(spec, y_start, y_stop)
-    cur = (xs[None, :] + 1j * ys[:, None]).reshape(-1)
-    npix = cur.size
+    z = (xs[None, :] + 1j * ys[:, None]).reshape(-1)
+    npix = z.size
     tail_from = max(0, depth - 32)  # basin detection reads steps tail_from .. total
-    tail = np.empty((total + 1 - tail_from, npix), dtype=np.complex128)
-    model = np.zeros(npix, dtype=bool)  # pixel switched to the growth model
+    tail = np.full((total + 1 - tail_from, npix), np.nan, dtype=np.complex128)
+
+    # Per-pixel state in set order: positions [0, nd) hold the direct set,
+    # whose points are z (and moduli az), and [nd, npix) the model set;
+    # pixel[i] is the raster index of position i.
+    pixel = np.arange(npix)
     exits = np.full(npix, -1, dtype=np.int64)
     offset = np.zeros(npix, dtype=np.int64)  # least admissible fast-escape offset
+    nd = npix
 
     with np.errstate(all="ignore"):
-        az = np.abs(cur)
+        az = np.abs(z)
         lv, mt = from_real_array(np.maximum(az, _TINY))
         for n in range(total + 1):
             if n >= tail_from:
-                tail[n - tail_from] = cur
+                tail[n - tail_from, pixel[:nd]] = z
             if n <= depth:
                 exits[(exits < 0) & gt_array(lv, mt, bail.level, bail.mantissa)] = n
                 lvc = np.minimum(lv, first.size - 1)
@@ -177,26 +192,33 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
 
             # Switch rules, in the same priority order as the scalar track:
             # magnitude past the bailout (or the tower guard) first, then
-            # real part past the direct-exp range.
-            zprev = cur
-            model = model | (az > spec.bailout) | (az >= MAG_GUARD)
-            reov = ~model & (zprev.real > RE_OVERFLOW)
-            model = model | reov
-            direct = ~model
-            cur = np.where(direct, np.exp(zprev) + a, np.nan)
-            az = np.abs(cur)
+            # real part past the direct-exp range.  Leavers swap places with
+            # the last staying direct pixels: the model set grows to
+            # [nd, npix) and no state is copied beyond the swapped entries.
+            guard = (az > spec.bailout) | (az >= MAG_GUARD)
+            reov = ~guard & (z.real > RE_OVERFLOW)
+            leave = guard | reov
+            if leave.any():
+                nd -= int(np.count_nonzero(leave))
+                holes = np.flatnonzero(leave[:nd])
+                fill = nd + np.flatnonzero(~leave[nd:])
+                swap, into = np.concatenate([holes, fill]), np.concatenate([fill, holes])
+                for state in (pixel, exits, offset, lv, mt, z, reov):
+                    state[swap] = state[into]
+            over = nd + np.flatnonzero(reov[nd:])
+            over_re = z.real[over]
+            z = np.exp(z[:nd]) + a
+            az = np.abs(z)
             if n >= depth:
                 continue  # towers only feed the verdicts, which stop at depth
 
-            lv_grow, mt_grow = exp_plus_array(lv, mt, abs(a))
-            lv_dir, mt_dir = from_real_array(np.maximum(az, _TINY))
-            lv = np.where(direct, lv_dir, lv_grow)
-            mt = np.where(direct, mt_dir, mt_grow)
-            if reov.any():
-                # log-magnitude of the unrepresentable exp(z) is exactly Re z
-                lv[reov] = 1
-                mt[reov] = zprev.real[reov]
+            lv[nd:], mt[nd:] = exp_plus_array(lv[nd:], mt[nd:], abs(a))
+            # log-magnitude of the unrepresentable exp(z) is exactly Re z
+            lv[over], mt[over] = 1, over_re
+            lv[:nd], mt[:nd] = from_real_array(np.maximum(az, _TINY))
 
+        back = np.argsort(pixel)  # set order -> raster order
+        exits, offset = exits[back], offset[back]
         escaped = exits >= 0
         tags = np.full(npix, TAG_BOUNDED, dtype=np.uint8)
         tags[escaped] = np.where(offset[escaped] <= depth - 3, TAG_FAST, TAG_SLOW)
@@ -227,40 +249,45 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
 
 
 def _fatou_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classify one row block of a drift-map raster."""
+    """Classify one row block of a drift-map raster.
+
+    Only the live set is iterated: per live pixel its raster index, point,
+    drift run and running ``max |z|``.  A pixel leaves it on underflow
+    (``Undecided``) or when its drift run certifies escape (exit recorded);
+    the pass ends at ``max_iter`` or when the set is empty.
+    """
     depth = spec.max_iter
     xs, ys = _pixel_centers(spec, y_start, y_stop)
     z = (xs[None, :] + 1j * ys[:, None]).reshape(-1).astype(np.complex128)
     npix = z.size
 
+    pixel = np.arange(npix)
     run = np.zeros(npix, dtype=np.int64)
-    exits = np.full(npix, -1, dtype=np.int64)
-    undecided = np.zeros(npix, dtype=bool)
-    active = np.ones(npix, dtype=bool)
     max_abs = np.abs(z)
+    exits = np.full(npix, -1, dtype=np.int64)
 
     with np.errstate(all="ignore"):
         for n in range(1, depth + 1):
-            under = active & (z.real < _RE_UNDERFLOW)
+            under = z.real < _RE_UNDERFLOW
             if under.any():
-                undecided |= under
-                active &= ~under
-            if not active.any():
+                live = ~under
+                pixel, z, run, max_abs = pixel[live], z[live], run[live], max_abs[live]
+            if not pixel.size:
                 break
             w = z + 1.0 + np.exp(-z)
             drifting = (w.real > DRIFT_THRESHOLD) & (w.real > z.real)
-            run = np.where(active & drifting, run + 1, 0)
-            hit = active & (run == DRIFT_WINDOW)
+            run = np.where(drifting, run + 1, 0)
+            hit = run == DRIFT_WINDOW
             if hit.any():
-                exits[hit] = n - DRIFT_WINDOW + 1
-                active &= ~hit
-            z = np.where(active, w, z)
-            max_abs = np.where(active, np.maximum(max_abs, np.abs(z)), max_abs)
+                exits[pixel[hit]] = n - DRIFT_WINDOW + 1
+                live = ~hit
+                pixel, w, run, max_abs = pixel[live], w[live], run[live], max_abs[live]
+            z = w
+            max_abs = np.maximum(max_abs, np.abs(z))
 
     tags = np.full(npix, TAG_UNDECIDED, dtype=np.uint8)
-    escaped = exits >= 0
-    tags[escaped] = TAG_SLOW
-    tags[~escaped & ~undecided & (max_abs <= BOUNDED_BOX)] = TAG_BOUNDED
+    tags[exits >= 0] = TAG_SLOW
+    tags[pixel[max_abs <= BOUNDED_BOX]] = TAG_BOUNDED
     rows = y_stop - y_start
     return tags.reshape(rows, spec.width), exits.reshape(rows, spec.width)
 

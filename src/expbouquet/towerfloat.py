@@ -182,7 +182,9 @@ class TowerReal:
 def from_real_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise :meth:`TowerReal.from_real` for magnitudes ``x >= 0``."""
     big = x >= H
-    return np.where(big, 1, 0), np.where(big, np.log(np.maximum(x, 1.0)), x)
+    mantissa = x.copy()
+    mantissa[big] = np.log(x[big])
+    return big.astype(np.int64), mantissa
 
 
 def exp_plus_array(
@@ -190,20 +192,23 @@ def exp_plus_array(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise :meth:`TowerReal.exp_plus`, branch for branch.
 
-    The clamps keep the unselected branches finite; each selected branch
-    evaluates the same float operations as the scalar method.  The results
-    are bit-identical except on the level-0 branch below ln(H), where
-    NumPy's ``exp`` and ``math.exp`` may round one ulp apart.
+    Every entry goes to ``(level + 1, mantissa)`` except the level-0
+    entries below the direct limit, and each of the two level-0 branches
+    runs only on its own entries, with the same float operations as the
+    scalar method.  The results are bit-identical except on the level-0
+    branch below ln(H), where NumPy's ``exp`` and ``math.exp`` may round
+    one ulp apart.
     """
-    lv_small, mt_small = from_real_array(np.exp(np.minimum(mantissa, LN_H)) + c)
-    corr = np.log1p(c * np.exp(-np.minimum(mantissa, _EXP_DIRECT_MAX)))
-    mt_mid = np.where(mantissa > _EXP_DIRECT_MAX, mantissa, mantissa + corr)
-    small = mantissa < LN_H
-    up = level >= 1
-    return (
-        np.where(up, level + 1, np.where(small, lv_small, 1)),
-        np.where(up, mantissa, np.where(small, mt_small, mt_mid)),
-    )
+    out_level = level + 1
+    out_mantissa = mantissa.copy()
+    level0 = np.flatnonzero(level == 0)
+    m = mantissa[level0]
+    small = m < LN_H
+    mid = ~small & (m <= _EXP_DIRECT_MAX)
+    at = level0[small]
+    out_level[at], out_mantissa[at] = from_real_array(np.exp(m[small]) + c)
+    out_mantissa[level0[mid]] = m[mid] + np.log1p(c * np.exp(-m[mid]))
+    return out_level, out_mantissa
 
 
 def gt_array(level: np.ndarray, mantissa: np.ndarray, other_level, other_mantissa) -> np.ndarray:

@@ -10,12 +10,14 @@ arithmetic laws of the tower representation, ``maxmod`` the circle
 maximum-modulus closed form and its growth bounds, ``lemma7`` the orbit
 domination index and the half-plane margin formula, ``semiconj`` the
 exponential semiconjugacy of the drift map, ``separation`` hair
-endpoints and strip separation, and ``figures`` the reference renders.
+endpoints and strip separation, and ``figures`` the reference renders
+(including their golden SHA-256 digests).
 """
 
 from __future__ import annotations
 
 import cmath
+import hashlib
 import math
 import os
 import time
@@ -48,6 +50,15 @@ ORACLE_PARAMS = (-2 + 0j, -1 + 0j, 5 + 3.14j, 2.06 + 1.57j, 1.004 + 2.9j)
 FIGURE_PARAMS = (-2 + 0j, 5 + 3.14j, 2.06 + 1.57j, 1.004 + 2.9j)
 
 ORACLE_RADII = (math.pi, 4.0, 7.0, 12.0, 20.0)
+
+#: SHA-256 of the pixel bytes of each figure's 800x800 classification
+#: render (default viewport, ``max_iter`` 60, bailout 1e10).
+FIGURE_SHA256 = {
+    -2 + 0j: "8b07a45af85cafa2443350210c1edbe8cbdf7c46c45aa33363feeb404e13073f",
+    5 + 3.14j: "7c096d421675e539de1be2211d326aea2d6bcfafc9fbd4593efaf08542092a34",
+    2.06 + 1.57j: "4df3f72cd77dd5139879dcd34454de66a51f7e7fd6fee5bd3a167b71edddf805",
+    1.004 + 2.9j: "255250638eb3b64d9a20484078e80f3b14f7cb8dcd4e758cb9c0d1bd57290c77",
+}
 
 
 def _seed() -> int:
@@ -401,6 +412,14 @@ def suite_figures(threads: int | None = None) -> list[Check]:
     )
 
     for spec, grid in zip(specs, grids):
+        digest = hashlib.sha256(grid.pixels).hexdigest()
+        rows.append(
+            (
+                f"figures-sha256[a={_fmt_complex(spec.a)}]",
+                digest == FIGURE_SHA256[spec.a],
+                f"pixel bytes sha256 {digest}",
+            )
+        )
         px800 = np.frombuffer(grid.pixels, dtype=np.uint8)
         small = RenderSpec(
             map_kind=spec.map_kind, a=spec.a, width=400, height=400

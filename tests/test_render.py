@@ -1,5 +1,6 @@
 """Tests for the deterministic classification rasterizer."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -65,6 +66,15 @@ DIFFERENTIAL_SPECS = {
     "iter-1": _exp_spec(-2, max_iter=1, size=12),
     "iter-2": _exp_spec(5 + 3.14j, max_iter=2, size=12),
     "iter-3": _exp_spec(2.06 + 1.57j, max_iter=3, size=12),
+    # every seed has Re z > 700: the direct set is empty from step 1
+    "all-leave-at-0": _exp_spec(-2, viewport=(701.0, 709.0, -1.0, 1.0), size=12),
+    # inside the basin of the attracting fixed point -1.8414: no pixel leaves
+    "never-leave": _exp_spec(-2, max_iter=200, viewport=(-3.0, 0.0, -0.5, 0.5), size=12),
+    # right of the repelling fixed point 1.1462: bailout crossed at steps
+    # 11-13, in the ten steps after max_iter; left of it, the basin
+    "leave-after-depth": _exp_spec(
+        -2, max_iter=8, viewport=(1.1462, 1.1463, -1e-5, 1e-5), size=12
+    ),
 }
 
 
@@ -214,17 +224,28 @@ class TestDeterminism:
 
 
 class TestKernelMemory:
+    @staticmethod
+    def _peak(spec):
+        tracemalloc.start()
+        try:
+            classify_grid(spec, workers=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_peak_does_not_grow_with_max_iter(self):
         def peak(max_iter):
-            spec = _exp_spec(-2, max_iter=max_iter, size=64)
-            tracemalloc.start()
-            try:
-                classify_grid(spec, workers=1)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return self._peak(_exp_spec(-2, max_iter=max_iter, size=64))
 
         assert peak(400) < 1.5 * peak(40)
+
+    def test_moving_every_pixel_to_the_growth_model_copies_no_state(self):
+        def peak(viewport):
+            return self._peak(_exp_spec(-2, max_iter=60, size=64, viewport=viewport))
+
+        all_escaping = (701.0, 709.0, -1.0, 1.0)  # every seed leaves at step 0
+        all_basin = (-10.0, -8.0, -1.0, 1.0)
+        assert peak(all_escaping) <= 1.5 * peak(all_basin)
 
 
 class TestFatouRendering:
@@ -239,23 +260,40 @@ class TestFatouRendering:
         # Slow escape records the start of the certified drift run.
         assert np.all((exits >= 1) == (tags == TAG_SLOW))
 
-    @pytest.mark.parametrize("max_iter", [60, 5])
-    def test_matches_pointwise_classifier(self, max_iter):
+    @pytest.mark.parametrize(
+        "viewport, max_iter",
+        [
+            ((-3.0, 9.0, -7.0, 7.0), 60),
+            ((-3.0, 9.0, -7.0, 7.0), 5),
+            # the cell centre (3, 4) is i*pi, a fixed point in floating point:
+            # it stays bounded for 1000 steps, long after the last exit
+            ((-3.5, 8.5, math.pi - 5.5, math.pi + 4.5), 1000),
+        ],
+        ids=["60", "5", "fixed-point-1000"],
+    )
+    def test_matches_pointwise_classifier(self, viewport, max_iter):
         from expbouquet.fatoufn import fatou_classify
 
         spec = RenderSpec(
-            map_kind="fatou", viewport=(-3.0, 9.0, -7.0, 7.0),
-            width=12, height=10, max_iter=max_iter,
+            map_kind="fatou", viewport=viewport, width=12, height=10, max_iter=max_iter
         )
-        tags, _ = classify_grid(spec, workers=1)
-        dx = 12.0 / 12
-        dy = 14.0 / 10
-        name_by_tag = dict(enumerate(TAG_NAMES))
+        tags, exits = classify_grid(spec, workers=1)
+        x0, x1, y0, y1 = viewport
+        dx = (x1 - x0) / 12
+        dy = (y1 - y0) / 10
         for i in range(10):
             for j in range(12):
-                z = complex(-3.0 + (j + 0.5) * dx, 7.0 - (i + 0.5) * dy)
+                z = complex(x0 + (j + 0.5) * dx, y1 - (i + 0.5) * dy)
                 got = fatou_classify(z, depth=max_iter)
-                assert type(got).__name__ == name_by_tag[tags[i, j]]
+                assert (type(got).__name__, getattr(got, "first_exit_step", -1)) == (
+                    TAG_NAMES[tags[i, j]],
+                    exits[i, j],
+                ), (i, j, z)
+
+    def test_golden_drift_map(self):
+        spec = RenderSpec(map_kind="fatou", width=200, height=200, max_iter=60)
+        digest = hashlib.sha256(render(spec, workers=2).pixels).hexdigest()
+        assert digest == "942abe5a696d2f625d54ba14b1ea86bf2531d23e733cb5f0f5ccc585d61c9750"
 
 
 class TestEscapeFraction:

@@ -40,6 +40,28 @@ def _bits(level, mantissa) -> tuple[int, str]:
     return int(level), float(mantissa).hex()
 
 
+def _assert_from_real_array_matches(x):
+    lv, mt = from_real_array(x)
+    assert lv.shape == mt.shape == x.shape
+    for i, xi in enumerate(x.tolist()):
+        t = TowerReal.from_real(xi)
+        assert _bits(lv[i], mt[i]) == _bits(t.level, t.mantissa)
+
+
+def _assert_exp_plus_array_matches(level, mantissa, c):
+    lv, mt = exp_plus_array(level, mantissa, c)
+    assert lv.shape == mt.shape == level.shape
+    for i, t in enumerate(map(TowerReal, level.tolist(), mantissa.tolist())):
+        want = t.exp_plus(c)
+        if t.level == 0 and t.mantissa < LN_H:
+            # exp of a float: NumPy's vectorized exp and the C library's
+            # math.exp may round differently by 1 ulp.
+            assert int(lv[i]) == want.level
+            assert float(mt[i]) == pytest.approx(want.mantissa, rel=2.0**-51, abs=0.0)
+        else:
+            assert _bits(lv[i], mt[i]) == _bits(want.level, want.mantissa)
+
+
 class TestConstruction:
     def test_level_zero_holds_any_finite_mantissa(self):
         t = TowerReal(0, -123.5)
@@ -210,24 +232,39 @@ class TestProperties:
 
     @given(magnitudes)
     def test_from_real_array_matches_scalar(self, x):
-        lv, mt = from_real_array(np.array([x]))
-        t = TowerReal.from_real(x)
-        assert _bits(lv[0], mt[0]) == _bits(t.level, t.mantissa)
+        _assert_from_real_array_matches(np.array([x]))
 
     @given(magnitudes)
     def test_exp_plus_array_matches_scalar(self, m):
         levels = [lv for lv in range(4) if m < H and (lv == 0 or m >= LN_H)]
-        for t in (TowerReal(lv, m) for lv in levels):
-            for c in CORRECTIONS:
-                lv, mt = exp_plus_array(np.array([t.level]), np.array([t.mantissa]), c)
-                want = t.exp_plus(c)
-                if t.level == 0 and t.mantissa < LN_H:
-                    # exp of a float: NumPy's vectorized exp and the C
-                    # library's math.exp may round differently by 1 ulp.
-                    assert int(lv[0]) == want.level
-                    assert float(mt[0]) == pytest.approx(want.mantissa, rel=2.0**-51, abs=0.0)
-                else:
-                    assert _bits(lv[0], mt[0]) == _bits(want.level, want.mantissa)
+        for c in CORRECTIONS:
+            _assert_exp_plus_array_matches(
+                np.array(levels, dtype=np.int64), np.full(len(levels), m), c
+            )
+
+    @pytest.mark.parametrize(
+        "level, mantissa",
+        [
+            ([], []),
+            ([1, 2, 3, 7], [LN_H, 100.0, 700.5, 9.9e14]),  # level >= 1
+            ([0] * 5, [0.0, 2.2250738585072014e-308, 1.0, 30.0, math.nextafter(LN_H, 0.0)]),
+            ([0] * 4, [LN_H, 100.0, math.nextafter(700.0, 0.0), 700.0]),  # ln H .. 700
+            ([0] * 3, [math.nextafter(700.0, math.inf), 1e3, 9.9e14]),  # past 700
+        ],
+        ids=["empty", "all-up", "all-below-ln-H", "all-direct", "all-past-direct"],
+    )
+    @pytest.mark.parametrize("c", CORRECTIONS)
+    def test_exp_plus_array_on_single_branch_inputs(self, level, mantissa, c):
+        level = np.array(level, dtype=np.int64)
+        mantissa = np.array(mantissa, dtype=np.float64)
+        _assert_exp_plus_array_matches(level, mantissa, c)
+
+    @pytest.mark.parametrize(
+        "x", [[], [0.0, 1.0, math.nextafter(H, 0.0)], [H, 1e100, 1.7e308]],
+        ids=["empty", "all-below-H", "all-from-H"],
+    )
+    def test_from_real_array_on_single_branch_inputs(self, x):
+        _assert_from_real_array_matches(np.array(x, dtype=np.float64))
 
     @given(towers, towers)
     def test_gt_array_matches_scalar_order(self, t, u):
