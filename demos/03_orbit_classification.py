@@ -9,7 +9,7 @@ the iterated maximum modulus from some offset on (the certificate that
 the point lies in the fast escaping set).
 """
 
-from expbouquet import Params, classify_point, fast_escape_test, orbit, orbit_to_csv, report_line
+from expbouquet import Params, classify_point, orbit, orbit_to_csv, report_line
 
 p = Params(a=-2 + 0j)
 
@@ -22,8 +22,8 @@ for z0 in (-2 + 0j, 0.5 + 0j, 10 + 0j, 1.2 + 0j, 2 + 12j):
 # step ell on the orbit's magnitude dominates the iterated maximum
 # modulus sequence started at the base radius.
 for z0 in (10 + 0j, 1.2 + 0j):
-    ell = fast_escape_test(p, z0, depth=40)
-    print(f"fast_escape_test({z0}) -> ell = {ell}")
+    ell = classify_point(p, z0, depth=40).offset
+    print(f"classify_point({z0}, depth=40).offset -> ell = {ell}")
 
 # Orbits themselves are available with tower magnitudes; `status`
 # flips to "overflowed" once the values leave the complex plane's

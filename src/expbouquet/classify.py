@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -43,7 +44,6 @@ __all__ = [
     "ParamClass",
     "ConvergenceError",
     "classify_point",
-    "fast_escape_test",
     "classify_param",
     "find_cycle",
     "is_meandering_candidate",
@@ -163,19 +163,41 @@ def _first_exit(mags: Sequence[TowerReal], bailout: float, upto: int) -> Optiona
     return None
 
 
-def _least_domination_offset(
-    mags: Sequence[TowerReal], m_towers: Sequence[TowerReal], depth: int
+@lru_cache(maxsize=None)
+def _domination_table(a: complex, depth: int) -> tuple[TowerReal, ...]:
+    """Towers ``M^0(R) .. M^depth(R)`` of iterated maximum modulus at ``R = 3 + 2|a|``.
+
+    The one table of fast-escape verdicts, for :func:`classify_point` and
+    the rasterizer alike.  Raises :class:`RuntimeError` unless it is
+    nondecreasing, which :func:`_fast_offset` relies on; the check runs
+    once per cached table.
+    """
+    table = tuple(max_modulus_iterates(a, Params(a).radius, depth))
+    if any(x > y for x, y in zip(table, table[1:])):
+        raise RuntimeError(f"iterated maximum modulus is not monotone for a={a}")
+    return table
+
+
+def _fast_offset(
+    mags: Sequence[TowerReal], table: Sequence[TowerReal], depth: int
 ) -> Optional[int]:
-    """Least ``ell <= depth - 3`` with ``mags[ell+n] >= m_towers[n]`` for all n."""
-    for ell in range(depth - 2):
-        ok = True
-        for n in range(depth - ell + 1):
-            if mags[ell + n].cmp(m_towers[n]) < 0:
-                ok = False
-                break
-        if ok:
-            return ell
-    return None
+    """Least ``ell <= depth - 3`` with ``mags[ell + n] >= table[n]`` for every n, or None.
+
+    ``n`` runs up to ``depth - ell``: at least three comparisons.  One pass
+    raises ``ell`` while step ``k`` fails its comparison
+    ``mags[k] >= table[k - ell]``.  The table is nondecreasing, so raising
+    ``ell`` never breaks an earlier comparison: ``table[k - ell]`` does not
+    rise as ``ell`` grows.  Step ``k`` therefore admits exactly the offsets
+    ``ell >= k + 1 - c(k)``, where ``c(k)`` counts the entries
+    ``<= mags[k]``, and the least offset that passes every step is the
+    running maximum of that bound (at least 0).  The rasterizer keeps the
+    same bound per pixel.
+    """
+    ell = 0
+    for k, mag in enumerate(mags[: depth + 1]):
+        while ell <= k and mag.cmp(table[k - ell]) < 0:
+            ell += 1
+    return ell if ell <= depth - 3 else None
 
 
 def classify_point(
@@ -185,9 +207,11 @@ def classify_point(
 
     Escape means crossing ``bailout``; escaped orbits are then tested for
     tower domination over iterated maximum modulus (with at least three
-    tower comparisons) to separate fast escape from plain escape.  Bounded
-    orbits are matched against cycles of period up to 32, with the verdict
-    re-checked 10 iterations past ``depth``.
+    tower comparisons) to separate fast escape from plain escape.  The
+    offset is :func:`_fast_offset` over :func:`_domination_table`, the rule
+    the rasterizer applies per pixel.  Bounded orbits are matched against
+    cycles of period up to 32, with the verdict re-checked 10 iterations
+    past ``depth``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -197,8 +221,7 @@ def classify_point(
     zs, mags = _track(p.a, z, total, bailout)
     exit_step = _first_exit(mags, bailout, depth)
     if exit_step is not None:
-        m_towers = max_modulus_iterates(p.a, p.radius, depth)
-        ell = _least_domination_offset(mags, m_towers, depth)
+        ell = _fast_offset(mags, _domination_table(p.a, depth), depth)
         if ell is not None:
             return FastEscaping(offset=ell, verified_depth=depth - ell)
         return EscapingSlow(first_exit_step=exit_step)
@@ -232,23 +255,6 @@ def _detect_basin_period(zs: Sequence[complex | None], depth: int) -> Optional[i
         if log_mult < ATTRACT_CUT:
             return q
     return None
-
-
-def fast_escape_test(
-    p: Params, z: complex, depth: int, bailout: float = 1e10
-) -> Optional[int]:
-    """Least offset certifying fast escape, or None.
-
-    Returns the least ``ell <= depth - 3`` such that the orbit magnitude
-    tower at index ``ell + n`` is at least the ``n``-th iterated maximum
-    modulus of ``radius``, for every ``n`` up to ``depth - ell`` (at least
-    three comparisons).  Orbits that never escape simply return None.
-    """
-    if depth < 3:
-        raise ValueError("depth must be >= 3")
-    _, mags = _track(p.a, z, depth, bailout)
-    m_towers = max_modulus_iterates(p.a, p.radius, depth)
-    return _least_domination_offset(mags, m_towers, depth)
 
 
 def find_cycle(

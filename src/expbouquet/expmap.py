@@ -26,7 +26,6 @@ __all__ = [
     "Params",
     "OrbitSample",
     "eval_map",
-    "deriv_map",
     "orbit",
     "orbit_to_csv",
     "max_modulus",
@@ -99,13 +98,6 @@ def eval_map(a: complex, z: complex) -> complex:
     if z.real > RE_OVERFLOW:
         raise OverflowError(f"exp(z) overflows for Re z = {z.real!r} > {RE_OVERFLOW}")
     return cmath.exp(z) + a
-
-
-def deriv_map(a: complex, z: complex) -> complex:
-    """Derivative of the map at ``z``, namely ``exp(z)``."""
-    if z.real > RE_OVERFLOW:
-        raise OverflowError(f"exp(z) overflows for Re z = {z.real!r} > {RE_OVERFLOW}")
-    return cmath.exp(z)
 
 
 def _track(

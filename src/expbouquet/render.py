@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import ATTRACT_CUT, CYCLE_DETECT_TOL
-from .expmap import MAG_GUARD, RE_OVERFLOW, _TINY, Params, max_modulus_iterates
+from .classify import ATTRACT_CUT, CYCLE_DETECT_TOL, _domination_table
+from .expmap import MAG_GUARD, RE_OVERFLOW, _TINY
 from .fatoufn import BOUNDED_BOX, DRIFT_THRESHOLD, DRIFT_WINDOW, _RE_UNDERFLOW
 from .towerfloat import TowerReal, exp_plus_array, from_real_array, gt_array
 
@@ -137,11 +137,11 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     fast-escape offset bound; the direct set writes its points into the
     orbit rows basin detection reads, where model pixels stay NaN.
 
-    That bound is exact.  The table ``M^0 <= M^1 <= ...`` is nondecreasing,
-    so the orbit tower ``T_k >= M^n`` exactly for ``n < c(k)``, the number
-    of entries ``<= T_k``.  An offset ``ell`` passes every comparison of
-    the scalar search iff ``ell >= k + 1 - c(k)`` for all ``k <= max_iter``;
-    the pixel is fast iff that bound (at least 0) is ``<= max_iter - 3``.
+    That bound is the one :func:`expbouquet.classify._fast_offset` keeps
+    (its docstring has the argument), over the same table
+    :func:`expbouquet.classify._domination_table`: the running maximum of
+    ``k + 1 - c(k)``, where ``c(k)`` counts the entries ``<= T_k``.  The
+    pixel is fast iff that bound (at least 0) is ``<= max_iter - 3``.
     """
     a = spec.a
     depth = spec.max_iter
@@ -151,9 +151,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     # M^0(R) .. M^depth(R) by level: first[L] entries lie below level L and
     # thresholds[j, L] is the j-th mantissa at L (inf past the last; the
     # last column stands for every higher level).
-    towers = max_modulus_iterates(a, Params(a).radius, depth)
-    if any(x > y for x, y in zip(towers, towers[1:])):
-        raise RuntimeError(f"iterated maximum modulus is not monotone for a={a}")
+    towers = _domination_table(a, depth)
     levels = np.array([t.level for t in towers])
     first = np.searchsorted(levels, np.arange(levels[-1] + 2))
     rank = np.arange(levels.size) - first[levels]  # position within its level

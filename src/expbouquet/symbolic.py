@@ -7,9 +7,8 @@ periodic integer addresses.  Points on a hair are produced by pulling an
 anchor back through the inverse branches selected by the address; the
 hair's finite endpoint is the limit of deepening pullbacks.  The module
 also provides the quantitative separation gadgets used to tell hairs
-apart: a real-part margin formula, a domination index comparing a
-fast-escaping orbit against a slower one, and membership tests for the
-left half-plane/arc separating set.
+apart: a real-part margin formula and a domination index comparing a
+fast-escaping orbit against a slower one.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .classify import FastEscaping, classify_point
 from .expmap import Params, _track, eval_map
@@ -27,7 +26,6 @@ __all__ = [
     "ExternalAddress",
     "HairPoint",
     "SeparationConfig",
-    "Membership",
     "PreconditionError",
     "strip_index",
     "itinerary",
@@ -37,7 +35,6 @@ __all__ = [
     "separation_index",
     "real_part_margin",
     "find_domination_index",
-    "separating_set_membership",
 ]
 
 MAX_ADDRESS_ENTRY = 2**20
@@ -350,53 +347,3 @@ def find_domination_index(
         if s_mags[n].cmp(_double_plus(z_mags[n], kappa)) > 0:
             return n
     return None
-
-
-class Membership:
-    """Outcome of the separating-set test (string constants)."""
-
-    HALFPLANE = "in-halfplane-part"
-    ARC = "in-arc-part"
-    OUTSIDE = "outside"
-
-
-def _point_segment_distance(z: complex, u: complex, v: complex) -> float:
-    """Distance from ``z`` to the segment ``[u, v]``."""
-    d = v - u
-    dd = d.real * d.real + d.imag * d.imag
-    if dd == 0.0:
-        return abs(z - u)
-    t = ((z - u).real * d.real + (z - u).imag * d.imag) / dd
-    t = max(0.0, min(1.0, t))
-    return abs(z - (u + t * d))
-
-
-def separating_set_membership(
-    p: Params,
-    cfg: SeparationConfig,
-    sigma: Optional[Sequence[complex]],
-    z: complex,
-) -> str:
-    """Locate ``z`` relative to the separating set.
-
-    The half-plane part is exact: the image ``f(z)`` lies in the closed
-    disc of radius ``e^-c`` around ``a`` iff ``Re z <= -c``.  The arc part
-    tests whether ``f(z)`` comes within 1e-9 of the user-supplied polyline
-    ``sigma``; with no polyline, everything right of the half-plane is
-    outside.
-    """
-    if z.real <= -cfg.c:
-        return Membership.HALFPLANE
-    if sigma is not None and len(sigma) >= 1:
-        w = eval_map(p.a, z)
-        pts = [complex(q) for q in sigma]
-        if len(pts) == 1:
-            dist = abs(w - pts[0])
-        else:
-            dist = min(
-                _point_segment_distance(w, pts[i], pts[i + 1])
-                for i in range(len(pts) - 1)
-            )
-        if dist <= 1e-9:
-            return Membership.ARC
-    return Membership.OUTSIDE

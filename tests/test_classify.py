@@ -4,9 +4,10 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from expbouquet import classify
 from expbouquet.classify import (
     Attracting,
     Basin,
@@ -18,12 +19,13 @@ from expbouquet.classify import (
     SingularValueEscapes,
     classify_param,
     classify_point,
-    fast_escape_test,
     find_cycle,
     is_meandering_candidate,
     report_line,
 )
 from expbouquet.expmap import Params
+from expbouquet.render import RenderSpec, classify_grid
+from expbouquet.towerfloat import LN_H, TowerReal
 
 P2 = Params(a=-2 + 0j)
 
@@ -110,15 +112,95 @@ class TestClassifyPoint:
 
 class TestFastEscapeTest:
     def test_matches_classification_offsets(self):
-        assert fast_escape_test(P2, 10 + 0j, depth=50) == 0
-        assert fast_escape_test(P2, 1.2 + 0j, depth=50) == 4
+        assert classify_point(P2, 10 + 0j, depth=50).offset == 0
+        assert classify_point(P2, 1.2 + 0j, depth=50).offset == 4
 
     def test_non_escaping_is_none(self):
-        assert fast_escape_test(P2, -2 + 0j, depth=50) is None
+        got = classify_point(P2, -2 + 0j, depth=50)
+        assert not isinstance(got, FastEscaping)
+        assert getattr(got, "offset", None) is None
 
-    def test_depth_precondition(self):
-        with pytest.raises(ValueError):
-            fast_escape_test(P2, 10 + 0j, depth=2)
+    def test_depth_below_three_is_never_fast(self):
+        # Fewer than three tower comparisons certify nothing.
+        for depth in (1, 2):
+            got = classify_point(P2, 10 + 0j, depth=depth, bailout=5.0)
+            assert got == EscapingSlow(first_exit_step=0)
+        got = classify_point(P2, 10 + 0j, depth=3, bailout=5.0)
+        assert got == FastEscaping(offset=0, verified_depth=3)
+
+    def test_growth_model_adds_abs_a(self):
+        # Seed R = 3 + 2|a| = 4 is past the bailout at step 0, so its next
+        # tower is the model's e^4 + |a|, exactly M(R) = M^1: offset 0.
+        # Dropping |a| leaves it below M^1 and the verdict slow.
+        assert classify_point(Params(0.5), 4, depth=3, bailout=0.5) == FastEscaping(
+            offset=0, verified_depth=3
+        )
+
+
+def _least_offset_by_search(mags, table, depth):
+    """The O(depth^2) search for the least fast-escape offset: the oracle."""
+    for ell in range(depth - 2):
+        if all(mags[ell + n].cmp(table[n]) >= 0 for n in range(depth - ell + 1)):
+            return ell
+    return None
+
+
+def _tower(key):
+    """Tower of an integer key, in key order across levels 0-2."""
+    level, rest = divmod(key, 10)
+    return TowerReal(level, float(rest) + (LN_H if level else 0.0))
+
+
+@st.composite
+def _offset_cases(draw):
+    """(mags, nondecreasing table with ties, depth) for the offset helper.
+
+    As on an orbit track, mags run up to ten steps past ``depth``.
+    """
+    depth = draw(st.integers(min_value=1, max_value=40))
+    keys = sorted(draw(st.lists(st.integers(0, 29), min_size=depth + 1, max_size=depth + 1)))
+    size = depth + 1 + draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        # Orbits near the table: a shifted copy plus noise, often fast.
+        shift = draw(st.integers(0, depth))
+        noise = draw(st.lists(st.integers(-2, 3), min_size=size, max_size=size))
+        mags = [
+            min(29, max(0, keys[min(depth, max(0, k - shift))] + d))
+            for k, d in enumerate(noise)
+        ]
+    else:
+        mags = draw(st.lists(st.integers(0, 29), min_size=size, max_size=size))
+    return [_tower(k) for k in mags], [_tower(k) for k in keys], depth
+
+
+class TestFastOffset:
+    @given(_offset_cases())
+    @example(([_tower(5)] * 2, [_tower(5)] * 2, 1))
+    @example(([_tower(5)] * 3, [_tower(5)] * 3, 2))
+    @example(([_tower(5)] * 4, [_tower(5)] * 4, 3))
+    @example(([_tower(k) for k in (3, 1, 9, 19, 29)], [_tower(k) for k in (3, 3, 9, 9, 20)], 4))
+    def test_matches_quadratic_search(self, case):
+        mags, table, depth = case
+        assert classify._fast_offset(mags, table, depth) == _least_offset_by_search(
+            mags, table, depth
+        )
+
+    @pytest.fixture
+    def decreasing_table(self, monkeypatch):
+        def decreasing(a, r, count):
+            return [TowerReal.from_real(r + count - n) for n in range(count + 1)]
+
+        classify._domination_table.cache_clear()
+        monkeypatch.setattr(classify, "max_modulus_iterates", decreasing)
+        yield
+        classify._domination_table.cache_clear()
+
+    def test_non_monotone_table_raises(self, decreasing_table):
+        with pytest.raises(RuntimeError, match="not monotone"):
+            classify_point(P2, 10 + 0j, depth=20)
+        spec = RenderSpec(map_kind="exponential", a=-2, width=4, height=4, max_iter=20)
+        with pytest.raises(RuntimeError, match="not monotone"):
+            classify_grid(spec, workers=1)
 
 
 class TestFindCycle:

@@ -13,7 +13,6 @@ from expbouquet.expmap import (
     MM_DIRECT_MAX,
     OrbitSample,
     Params,
-    deriv_map,
     eval_map,
     max_modulus,
     max_modulus_iterates,
@@ -72,12 +71,6 @@ class TestEvalAndDeriv:
     @given(small_complex, small_complex)
     def test_matches_cmath(self, a, z):
         assert eval_map(a, z) == cmath.exp(z) + a
-
-    @given(small_complex)
-    def test_derivative_by_finite_differences(self, z):
-        h = 1e-7
-        fd = (eval_map(0j, z + h) - eval_map(0j, z - h)) / (2 * h)
-        assert deriv_map(0j, z) == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 class TestOrbit:

@@ -75,6 +75,11 @@ DIFFERENTIAL_SPECS = {
     "leave-after-depth": _exp_spec(
         -2, max_iter=8, viewport=(1.1462, 1.1463, -1e-5, 1e-5), size=12
     ),
+    # the cell centre is R = 4, past the bailout at step 0: the model tower
+    # e^4 + |a| equals M(R) exactly, so fast only with the growth model's |a|
+    "model-adds-abs-a": _exp_spec(
+        0.5, max_iter=3, viewport=(3.5, 4.5, -0.5, 0.5), size=1, bailout=0.5
+    ),
 }
 
 

@@ -10,7 +10,6 @@ from expbouquet.classify import FastEscaping, classify_point, find_cycle
 from expbouquet.expmap import Params, eval_map
 from expbouquet.symbolic import (
     ExternalAddress,
-    Membership,
     PreconditionError,
     SeparationConfig,
     endpoint_estimate,
@@ -18,7 +17,6 @@ from expbouquet.symbolic import (
     inverse_branch,
     itinerary,
     real_part_margin,
-    separating_set_membership,
     separation_index,
     strip_index,
     trace_hair,
@@ -207,31 +205,6 @@ class TestFindDominationIndex:
             find_domination_index(P2, 10 + 0j, 11 + 0j, 10.0, depth=16)
         with pytest.raises(ValueError):
             find_domination_index(P2, 10 + 0j, fp, -1.0, depth=16)
-
-
-class TestSeparatingSetMembership:
-    CFG = SeparationConfig(c=3.0, delta=2.0 * math.pi + 1.0)
-
-    def test_left_half_plane(self):
-        assert (
-            separating_set_membership(P2, self.CFG, None, complex(-3.0, 1.0))
-            == Membership.HALFPLANE
-        )
-        assert (
-            separating_set_membership(P2, self.CFG, None, complex(-2.9, 1.0))
-            == Membership.OUTSIDE
-        )
-
-    def test_arc_hit_through_the_map(self):
-        z = complex(1.0, 0.5)
-        w = eval_map(P2.a, z)
-        sigma = [w - 1.0, w + 1.0]
-        assert separating_set_membership(P2, self.CFG, sigma, z) == Membership.ARC
-
-    def test_arc_miss(self):
-        z = complex(1.0, 0.5)
-        sigma = [100 + 100j, 101 + 100j]
-        assert separating_set_membership(P2, self.CFG, sigma, z) == Membership.OUTSIDE
 
 
 class TestHairPointsAreNotFastEscaping:
