@@ -16,12 +16,16 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from importlib import import_module
 from typing import Any, Callable, Sequence
 
 from .classify import ConvergenceError, classify_param, classify_point, report_line
 from .expmap import Params
 from .fatoufn import fatou_classify
-from .render import RenderSpec, classification_csv, render, write_pgm
+from .render import RenderSpec, colorize, csv_text, write_pgm
+
+# Not called here; perfbench wraps ``cli.render`` and ``cli.classification_csv`` by name.
+from .render import classification_csv, render  # noqa: F401
 from .symbolic import (
     ExternalAddress,
     PreconditionError,
@@ -29,6 +33,10 @@ from .symbolic import (
     trace_hair,
 )
 from .verify import SUITES, format_check, run_suite
+
+# The render module itself (the package attribute ``expbouquet.render`` is the
+# function), so ``_raster.classify_grid`` resolves at call time.
+_raster = import_module(".render", __package__)
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _RE_ONLY = re.compile(rf"^[+-]?{_NUM}$")
@@ -214,11 +222,13 @@ def _cmd_render(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         )
     except ValueError as exc:
         parser.error(str(exc))
-    grid = render(spec, workers=opts["threads"])
-    write_pgm(grid, out_path)
+    # One classification feeds both outputs.  It is looked up on the module,
+    # so a wrapper installed on ``render.classify_grid`` sees this call.
+    tags, exits = _raster.classify_grid(spec, workers=opts["threads"])
+    write_pgm(colorize(spec, tags, exits), out_path)
     if opts["csv"]:
         with open(opts["csv"], "w", encoding="utf-8") as fh:
-            fh.write(classification_csv(spec, workers=opts["threads"]))
+            fh.write(csv_text(spec, tags, exits))
     return 0
 
 

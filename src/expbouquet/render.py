@@ -32,6 +32,8 @@ __all__ = [
     "ImageGrid",
     "default_viewport",
     "render",
+    "colorize",
+    "csv_text",
     "classify_grid",
     "escape_fraction",
     "write_pgm",
@@ -327,18 +329,26 @@ def classify_grid(spec: RenderSpec, workers: int | None = None) -> tuple[np.ndar
     return tags, exits
 
 
-def render(spec: RenderSpec, workers: int | None = None) -> ImageGrid:
-    """Rasterize ``spec`` to bytes; identical output for any worker count."""
-    tags, exits = classify_grid(spec, workers)
+def colorize(spec: RenderSpec, tags: np.ndarray, exits: np.ndarray) -> ImageGrid:
+    """Color an already-classified grid (``classify_grid``'s output for ``spec``).
+
+    Byte contract: the pixels are exactly those of ``render(spec)``, one
+    byte per pixel, row-major.  Classification coloring maps each tag to
+    its gray level; escape-count coloring is ``255*exit/max_iter`` rounded
+    half to even, with never-exiting pixels at 255.
+    """
     if spec.coloring == "classification":
         img = _CLASS_COLORS[tags]
     else:
-        # Escape count: 255*n/max_iter rounded half to even; never-exiting
-        # pixels saturate at 255.
         scaled = np.rint(255.0 * exits / spec.max_iter)
         scaled = np.where(exits < 0, 255.0, scaled)
         img = np.clip(scaled, 0.0, 255.0).astype(np.uint8)
     return ImageGrid(width=spec.width, height=spec.height, pixels=img.tobytes())
+
+
+def render(spec: RenderSpec, workers: int | None = None) -> ImageGrid:
+    """Rasterize ``spec`` to bytes; identical output for any worker count."""
+    return colorize(spec, *classify_grid(spec, workers))
 
 
 def escape_fraction(spec: RenderSpec, workers: int | None = None) -> float:
@@ -355,14 +365,34 @@ def write_pgm(grid: ImageGrid, path: str) -> None:
         fh.write(grid.pixels)
 
 
-def classification_csv(spec: RenderSpec, workers: int | None = None) -> str:
-    """Per-pixel dump ``x,y,tag,exit`` (exit blank when the orbit never exits)."""
-    tags, exits = classify_grid(spec, workers)
+def csv_text(spec: RenderSpec, tags: np.ndarray, exits: np.ndarray) -> str:
+    """Format an already-classified grid as the per-pixel CSV.
+
+    Byte contract: the header ``x,y,tag,exit``, then one row
+    ``x,y,TagName,exit`` per pixel in row-major order (top row first), the
+    exit blank where it is negative (the orbit never exits); every line,
+    the last included, ends in ``\\n``.  ``classification_csv`` and
+    ``render --csv`` write exactly this text.  Rows are built from Python
+    lists and precomputed pieces, with no per-pixel NumPy scalar access.
+    """
+    cols = [f"{x}," for x in range(spec.width)]
+    tag_pieces = [f",{name}," for name in TAG_NAMES]
+    exits = np.maximum(exits, -1)  # every negative exit formats as blank
+    exit_pieces = [str(e) for e in range(int(exits.max()) + 1)] + [""]  # [-1] is blank
     lines = ["x,y,tag,exit"]
-    for y in range(spec.height):
-        trow = tags[y]
-        erow = exits[y]
-        for x in range(spec.width):
-            e = erow[x]
-            lines.append(f"{x},{y},{TAG_NAMES[trow[x]]},{e if e >= 0 else ''}")
-    return "\n".join(lines) + "\n"
+    for y, (trow, erow) in enumerate(zip(tags.tolist(), exits.tolist())):
+        row = str(y)
+        lines.extend(
+            [c + row + tag_pieces[t] + exit_pieces[e] for c, t, e in zip(cols, trow, erow)]
+        )
+    lines.append("")
+    return "\n".join(lines)
+
+
+def classification_csv(spec: RenderSpec, workers: int | None = None) -> str:
+    """Per-pixel dump ``x,y,tag,exit`` (exit blank when the orbit never exits).
+
+    Byte contract: as :func:`csv_text` over ``classify_grid(spec, workers)``;
+    the text does not depend on ``workers``.
+    """
+    return csv_text(spec, *classify_grid(spec, workers))

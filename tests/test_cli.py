@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line surface: grammar, exit codes,
 config merging, and output formats."""
 
+import importlib
 import math
 
 import pytest
@@ -8,7 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expbouquet.cli import main, parse_complex
+from expbouquet.render import RenderSpec, _block_rows
 from expbouquet.symbolic import ExternalAddress
+
+# the module (the package attribute ``expbouquet.render`` is the function)
+raster = importlib.import_module("expbouquet.render")
 
 ATTRACTING_MULT = 0.15859433956303937
 
@@ -167,6 +172,31 @@ class TestClassifyCommands:
         assert out.startswith("class=")
 
 
+# ``render --csv`` argument lists and the spec each one describes.
+CSV_CASES = [
+    (
+        ["--a", "-2+0i", "--width", "4", "--height", "4", "--max-iter", "20"],
+        RenderSpec("exponential", a=-2, width=4, height=4, max_iter=20),
+    ),
+    # 70 and 66 rows: taller than one 64-row block, so assembled from two
+    (
+        ["--a", "1.004+2.9i", "--width", "5", "--height", "70", "--max-iter", "40",
+         "--coloring", "escape-count"],
+        RenderSpec("exponential", a=1.004 + 2.9j, width=5, height=70, max_iter=40,
+                   coloring="escape-count"),
+    ),
+    (
+        ["--map", "fatou", "--width", "6", "--height", "66", "--max-iter", "30"],
+        RenderSpec("fatou", width=6, height=66, max_iter=30),
+    ),
+    (
+        ["--map", "fatou", "--width", "3", "--height", "5", "--max-iter", "30",
+         "--coloring", "escape-count"],
+        RenderSpec("fatou", width=3, height=5, max_iter=30, coloring="escape-count"),
+    ),
+]
+
+
 class TestRenderCommand:
     def test_writes_pgm(self, tmp_path, capsys):
         out_path = tmp_path / "fig.pgm"
@@ -184,20 +214,42 @@ class TestRenderCommand:
         assert blob.startswith(header)
         assert len(blob) == len(header) + 16 * 12
 
-    def test_writes_csv_alongside(self, tmp_path, capsys):
-        out_path = tmp_path / "fig.pgm"
-        csv_path = tmp_path / "fig.csv"
-        code, _, _ = run(
-            [
-                "render", "--a", "-2+0i", "--width", "4", "--height", "4",
-                "--max-iter", "20", "--out", str(out_path), "--csv", str(csv_path),
-            ],
-            capsys,
-        )
-        assert code == 0
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "x,y,tag,exit"
-        assert len(lines) == 1 + 16
+    def test_writes_csv_alongside(self, tmp_path, capsys, monkeypatch):
+        """``--csv`` reuses the render's one classification; bytes are unchanged."""
+        classify_grid = raster.classify_grid
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return classify_grid(*args, **kwargs)
+
+        monkeypatch.setattr(raster, "classify_grid", counting)
+        for i, (flags, spec) in enumerate(CSV_CASES):
+            want_pgm = tmp_path / f"want{i}.pgm"
+            raster.write_pgm(raster.render(spec, workers=1), str(want_pgm))
+            want_csv = raster.classification_csv(spec, workers=1)
+            out_path = tmp_path / f"fig{i}.pgm"
+            csv_path = tmp_path / f"fig{i}.csv"
+            calls.clear()
+            code, _, _ = run(
+                ["render", *flags, "--threads", "1", "--out", str(out_path),
+                 "--csv", str(csv_path)],
+                capsys,
+            )
+            assert code == 0
+            assert calls == [spec]
+            assert out_path.read_bytes() == want_pgm.read_bytes()
+            text = csv_path.read_text(encoding="utf-8")
+            assert text == want_csv
+            lines = text.splitlines()
+            assert lines[0] == "x,y,tag,exit"
+            assert len(lines) == 1 + spec.width * spec.height
+
+    def test_csv_cases_span_two_blocks(self):
+        for kind in ("exponential", "fatou"):
+            assert any(
+                spec.map_kind == kind and spec.height > _block_rows(spec) for _, spec in CSV_CASES
+            )
 
     def test_missing_out_flag(self, capsys):
         code, _, err = run(["render", "--a", "-2+0i"], capsys)

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from expbouquet.classify import classify_point
 from expbouquet.expmap import Params
@@ -20,6 +22,8 @@ from expbouquet.render import (
     RenderSpec,
     classification_csv,
     classify_grid,
+    colorize,
+    csv_text,
     default_viewport,
     escape_fraction,
     render,
@@ -354,3 +358,59 @@ class TestPgmAndCsv:
         # Fast pixels carry their first exit step.
         fast_row = lines[1 + 3 * 8 + 7].split(",")
         assert fast_row[2] == "FastEscaping" and int(fast_row[3]) >= 1
+
+
+def _csv_oracle(spec, tags, exits):
+    """The per-pixel loop over NumPy scalars that ``csv_text`` replaced, kept as its oracle."""
+    lines = ["x,y,tag,exit"]
+    for y in range(spec.height):
+        trow = tags[y]
+        erow = exits[y]
+        for x in range(spec.width):
+            e = erow[x]
+            lines.append(f"{x},{y},{TAG_NAMES[trow[x]]},{e if e >= 0 else ''}")
+    return "\n".join(lines) + "\n"
+
+
+# Classified grids for the formatter: 1x1, 1xN and Nx1 shapes, exits of one to
+# three digits and blank ones, and every tag.  The drift grid's Undecided
+# pixels are orbits that crossed Re z = -700.
+CSV_SPECS = [
+    RenderSpec("exponential", a=-2, viewport=(-2.001, -1.999, -0.001, 0.001), width=1, height=1),
+    RenderSpec("exponential", a=-2, width=9, height=1, max_iter=30),
+    RenderSpec("fatou", width=1, height=9, max_iter=150),
+    RenderSpec("exponential", a=1.004 + 2.9j, width=12, height=12, max_iter=120,
+               coloring="escape-count"),
+    RenderSpec("fatou", width=12, height=12, max_iter=60),
+]
+
+
+class TestCsvText:
+    @pytest.mark.parametrize("spec", CSV_SPECS)
+    def test_matches_oracle_on_classified_grids(self, spec):
+        tags, exits = classify_grid(spec, workers=1)
+        text = csv_text(spec, tags, exits)
+        assert text == _csv_oracle(spec, tags, exits)
+        assert text == classification_csv(spec, workers=1)
+        assert colorize(spec, tags, exits) == render(spec, workers=1)
+
+    def test_specs_cover_every_tag_and_exit_width(self):
+        tags_seen, widths_seen = set(), set()
+        for spec in CSV_SPECS:
+            tags, exits = classify_grid(spec, workers=1)
+            tags_seen.update(TAG_NAMES[t] for t in np.unique(tags))
+            widths_seen.update(len(str(e)) if e >= 0 else 0 for e in np.unique(exits))
+        assert tags_seen == set(TAG_NAMES)
+        assert widths_seen == {0, 1, 2, 3}
+        shapes = {(s.width, s.height) for s in CSV_SPECS}
+        assert (1, 1) in shapes and (9, 1) in shapes and (1, 9) in shapes
+
+    @given(st.integers(1, 7), st.integers(1, 7), st.data())
+    def test_matches_oracle_on_arbitrary_grids(self, width, height, data):
+        n = width * height
+        tags = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+                        dtype=np.uint8).reshape(height, width)
+        exits = np.array(data.draw(st.lists(st.integers(-3, 1500), min_size=n, max_size=n)),
+                         dtype=np.int64).reshape(height, width)
+        spec = RenderSpec("exponential", width=width, height=height)
+        assert csv_text(spec, tags, exits) == _csv_oracle(spec, tags, exits)
