@@ -50,10 +50,9 @@ __all__ = [
     "report_line",
 ]
 
-# Cycle-detection tolerances: loose detection on the raw orbit, tight
-# residual after Newton refinement, and the attracting/parabolic bands.
+# Cycle-detection tolerances: loose detection on the raw orbit and the
+# attracting/parabolic bands.
 CYCLE_DETECT_TOL = 1e-6
-CYCLE_REFINE_TOL = 1e-10
 # Parameter classification refines harder: at a parabolic (double) root the
 # refined point sits ~sqrt(2*tol) from the cycle, so 1e-13 keeps the
 # reported multiplier within ~5e-7 of the unit circle.
@@ -154,15 +153,6 @@ ParamClass = Union[
 ]
 
 
-def _first_exit(mags: Sequence[TowerReal], bailout: float, upto: int) -> Optional[int]:
-    """First index ``n <= upto`` whose magnitude tower exceeds ``bailout``."""
-    bail = TowerReal.from_real(bailout)
-    for n in range(min(upto, len(mags) - 1) + 1):
-        if mags[n].cmp(bail) > 0:
-            return n
-    return None
-
-
 @lru_cache(maxsize=None)
 def _domination_table(a: complex, depth: int) -> tuple[TowerReal, ...]:
     """Towers ``M^0(R) .. M^depth(R)`` of iterated maximum modulus at ``R = 3 + 2|a|``.
@@ -205,11 +195,16 @@ def classify_point(
 ) -> PointClass:
     """Classify the orbit of ``z`` within ``depth`` steps.
 
-    Escape means crossing ``bailout``; escaped orbits are then tested for
-    tower domination over iterated maximum modulus (with at least three
-    tower comparisons) to separate fast escape from plain escape.  The
-    offset is :func:`_fast_offset` over :func:`_domination_table`, the rule
-    the rasterizer applies per pixel.  Bounded orbits are matched against
+    The exit step is the first ``n <= depth`` at which the orbit point
+    ``z_n`` is past ``bailout`` or no longer carried directly (the track
+    has switched to its growth model), which is where
+    :func:`~expbouquet.expmap.orbit` stops or first reports
+    ``"overflowed"`` (it reports ``|z_n| = 1e15`` at ``bailout = 1e15``
+    one step early).  Escaped orbits are then tested for tower domination
+    over iterated maximum modulus (with at least three tower comparisons)
+    to separate fast escape from plain escape.  The offset is
+    :func:`_fast_offset` over :func:`_domination_table`, the rule the
+    rasterizer applies per pixel.  Bounded orbits are matched against
     cycles of period up to 32, with the verdict re-checked 10 iterations
     past ``depth``.
     """
@@ -219,7 +214,9 @@ def classify_point(
         raise ValueError("bailout must be in (0, 1e15]")
     total = depth + 10
     zs, mags = _track(p.a, z, total, bailout)
-    exit_step = _first_exit(mags, bailout, depth)
+    exit_step = next(
+        (n for n, w in enumerate(zs[: depth + 1]) if w is None or abs(w) > bailout), None
+    )
     if exit_step is not None:
         ell = _fast_offset(mags, _domination_table(p.a, depth), depth)
         if ell is not None:
@@ -228,7 +225,7 @@ def classify_point(
     period = _detect_basin_period(zs, depth)
     if period is not None:
         return Basin(period=period)
-    bound = max(abs(w) for w in zs[: depth + 1] if w is not None)
+    bound = max(abs(w) for w in zs[: depth + 1])
     return NonEscapingBounded(depth=depth, bound=bound)
 
 

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .towerfloat import H, TowerReal
+from .towerfloat import _EXP_DIRECT_MAX, H, TowerReal
 
 __all__ = [
     "Params",
@@ -34,8 +34,10 @@ __all__ = [
     "MM_DIRECT_MAX",
 ]
 
-# Largest real part for which exp() of a complex double is safely finite.
-RE_OVERFLOW = 700.0
+# Largest real part for which exp() of a complex double is safely finite;
+# the tower's direct-exp limit, so the growth model steps the tower
+# (0, Re z) of a point past it to exactly (1, Re z).
+RE_OVERFLOW = _EXP_DIRECT_MAX
 
 # Largest radius at which |f|^2 ~ e^(2r) on the circle fits in a double;
 # max_modulus_iterates continues past it with the tower step exp_plus.
@@ -215,15 +217,33 @@ def _circle_stationarity(a: complex, terms: tuple[np.ndarray, ...]) -> np.ndarra
     return -v * (e + a.real * cv + a.imag * sv) + u * (a.imag * cv - a.real * sv)
 
 
+def _stationarity_at(a: complex, r: float, theta: float) -> float:
+    """Scalar :func:`_circle_stationarity` at one angle."""
+    u = r * math.cos(theta)
+    v = r * math.sin(theta)
+    cv = math.cos(v)
+    sv = math.sin(v)
+    return -v * (math.exp(u) + a.real * cv + a.imag * sv) + u * (a.imag * cv - a.real * sv)
+
+
+# Relative slack on the bracket bound, far above the few ulps of rounding
+# in either side of the comparison.
+_BRACKET_SLACK = 1e-9
+
+
 def max_modulus(a: complex, r: float) -> float:
     """Maximum of ``|exp(z) + a|`` over the circle ``|z| = r``.
 
     Dense grid scan to bracket every descending sign change of the
-    stationarity condition, then simultaneous bisection to double
-    precision; the best critical value is compared against the grid
-    maximum.  Raises :class:`OverflowError` for ``r > MM_DIRECT_MAX``
-    (about 354.89), where ``|f|^2`` exceeds the double range; use
-    :func:`max_modulus_iterates` at tower scale.
+    stationarity condition.  Between two grid nodes ``Re z`` is at most
+    the larger node value (or ``r`` if the arc crosses ``theta = 0``), so
+    ``|f| <= e^{Re z} + |a|`` there; a bracket whose bound is below
+    the grid maximum cannot hold the maximum and is dropped.  Each
+    remaining bracket is bisected on the scalar stationarity condition
+    until its ends are adjacent doubles, and the best critical value is
+    compared against the grid maximum.  Raises :class:`OverflowError` for
+    ``r > MM_DIRECT_MAX`` (about 354.89), where ``|f|^2`` exceeds the
+    double range; use :func:`max_modulus_iterates` at tower scale.
     """
     if not r > 0.0:
         raise ValueError("r must be positive")
@@ -241,16 +261,24 @@ def max_modulus(a: complex, r: float) -> float:
     # Interior maxima sit at descending sign changes of the derivative
     # (exact zeros on the grid are already covered by the grid maximum).
     desc = np.nonzero((hs[:-1] > 0.0) & (hs[1:] < 0.0))[0]
-    if desc.size:
-        lo = theta[desc]
-        hi = theta[desc + 1]
-        for _ in range(60):  # 2*pi / 2^60 is far below double resolution
+    e = grid[2]
+    e_max = np.maximum(e[desc], e[desc + 1])
+    e_max[(theta[desc] <= 0.0) & (theta[desc + 1] >= 0.0)] = math.exp(r)
+    bound = (e_max + abs(a)) * (1.0 + _BRACKET_SLACK)
+    for k in desc[bound >= math.sqrt(best)]:
+        lo = float(theta[k])
+        hi = float(theta[k + 1])
+        # A sign the scalar twin does not reproduce puts the critical
+        # point within rounding of a grid node, which the grid covers.
+        if _stationarity_at(a, r, lo) > 0.0 > _stationarity_at(a, r, hi):
             mid = 0.5 * (lo + hi)
-            pos = _circle_stationarity(a, _circle_terms(r, mid)) > 0.0
-            lo = np.where(pos, mid, lo)
-            hi = np.where(pos, hi, mid)
-        crit = float(np.max(_circle_modulus_sq(a, _circle_terms(r, 0.5 * (lo + hi)))))
-        best = max(best, crit)
+            while lo < mid < hi:
+                if _stationarity_at(a, r, mid) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+                mid = 0.5 * (lo + hi)
+            best = max(best, float(_circle_modulus_sq(a, _circle_terms(r, mid))))
     return math.sqrt(best)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .classify import ATTRACT_CUT, CYCLE_DETECT_TOL, _domination_table
 from .expmap import MAG_GUARD, RE_OVERFLOW, _TINY
 from .fatoufn import BOUNDED_BOX, DRIFT_THRESHOLD, DRIFT_WINDOW, _RE_UNDERFLOW
-from .towerfloat import TowerReal, exp_plus_array, from_real_array, gt_array
+from .towerfloat import exp_plus_array, from_real_array
 
 __all__ = [
     "RenderSpec",
@@ -135,7 +135,10 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     the tower alone, which ``exp_plus_array`` advances.  A pixel moves to
     the model set on the scalar track's switch rules and never back, so
     each step evaluates ``exp`` only on direct pixels and ``exp_plus`` only
-    on model pixels.  Every pixel keeps its exit step and a running
+    on model pixels.  Its exit step, the rule of
+    :func:`expbouquet.classify.classify_point`, is written once, at the
+    switch: the step itself if ``|z|`` is past the bailout, else the first
+    model step, and -1 past ``max_iter``.  Every pixel keeps a running
     fast-escape offset bound; the direct set writes its points into the
     orbit rows basin detection reads, where model pixels stay NaN.
 
@@ -148,7 +151,6 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     a = spec.a
     depth = spec.max_iter
     total = depth + 10
-    bail = TowerReal.from_real(spec.bailout)
 
     # M^0(R) .. M^depth(R) by level: first[L] entries lie below level L and
     # thresholds[j, L] is the j-th mantissa at L (inf past the last; the
@@ -168,7 +170,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
 
     # Per-pixel state in set order: positions [0, nd) hold the direct set,
     # whose points are z (and moduli az), and [nd, npix) the model set;
-    # pixel[i] is the raster index of position i.
+    # pixel[i] is the raster index of position i.  Exits are in raster order.
     pixel = np.arange(npix)
     exits = np.full(npix, -1, dtype=np.int64)
     offset = np.zeros(npix, dtype=np.int64)  # least admissible fast-escape offset
@@ -181,7 +183,6 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
             if n >= tail_from:
                 tail[n - tail_from, pixel[:nd]] = z
             if n <= depth:
-                exits[(exits < 0) & gt_array(lv, mt, bail.level, bail.mantissa)] = n
                 lvc = np.minimum(lv, first.size - 1)
                 count = first[lvc]  # c(n)
                 for row in thresholds:
@@ -195,30 +196,32 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
             # real part past the direct-exp range.  Leavers swap places with
             # the last staying direct pixels: the model set grows to
             # [nd, npix) and no state is copied beyond the swapped entries.
-            guard = (az > spec.bailout) | (az >= MAG_GUARD)
+            past = az > spec.bailout
+            guard = past | (az >= MAG_GUARD)
             reov = ~guard & (z.real > RE_OVERFLOW)
             leave = guard | reov
             if leave.any():
+                if n <= depth:
+                    step = np.where(past[leave], n, n + 1)
+                    exits[pixel[:nd][leave]] = np.where(step <= depth, step, -1)
+                # log-magnitude of the unrepresentable exp(z) is exactly Re z:
+                # the model step takes (0, Re z) to (1, Re z)
+                mt[:nd][reov] = z.real[reov]
                 nd -= int(np.count_nonzero(leave))
                 holes = np.flatnonzero(leave[:nd])
                 fill = nd + np.flatnonzero(~leave[nd:])
                 swap, into = np.concatenate([holes, fill]), np.concatenate([fill, holes])
-                for state in (pixel, exits, offset, lv, mt, z, reov):
+                for state in (pixel, offset, lv, mt, z):
                     state[swap] = state[into]
-            over = nd + np.flatnonzero(reov[nd:])
-            over_re = z.real[over]
             z = np.exp(z[:nd]) + a
             az = np.abs(z)
             if n >= depth:
                 continue  # towers only feed the verdicts, which stop at depth
 
             lv[nd:], mt[nd:] = exp_plus_array(lv[nd:], mt[nd:], abs(a))
-            # log-magnitude of the unrepresentable exp(z) is exactly Re z
-            lv[over], mt[over] = 1, over_re
             lv[:nd], mt[:nd] = from_real_array(np.maximum(az, _TINY))
 
-        back = np.argsort(pixel)  # set order -> raster order
-        exits, offset = exits[back], offset[back]
+        offset = offset[np.argsort(pixel)]  # set order -> raster order
         escaped = exits >= 0
         tags = np.full(npix, TAG_BOUNDED, dtype=np.uint8)
         tags[escaped] = np.where(offset[escaped] <= depth - 3, TAG_FAST, TAG_SLOW)

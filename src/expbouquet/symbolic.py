@@ -145,20 +145,17 @@ class SeparationConfig:
     """Constants for the separating-set machinery.
 
     ``c`` is the half-plane offset (``Re z <= -c``), ``delta`` a strip
-    padding, ``kappa`` the domination slack.
+    padding.
     """
 
     c: float
     delta: float
-    kappa: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.c >= 1.0:
             raise ValueError("c must be >= 1")
         if not self.delta >= _TWO_PI:
             raise ValueError("delta must be >= 2*pi")
-        if not self.kappa > 0.0:
-            raise ValueError("kappa must be positive")
 
 
 def strip_index(z: complex) -> int:

@@ -21,9 +21,10 @@ Values >= H entering at level 0 are promoted to (1, ln value).  Negative and
 small values only ever live at level 0.  Mantissas stay below H at every
 level, so a value too large for level L is always at level L + 1.
 
-Next to the scalar class, ``from_real_array``, ``exp_plus_array`` and
-``gt_array`` apply the same rules elementwise to (level, mantissa) NumPy
-arrays of finite magnitudes >= 0; the rasterizer's kernel is built on them.
+Next to the scalar class, ``from_real_array`` and ``exp_plus_array`` apply
+the same rules elementwise to (level, mantissa) NumPy arrays of finite
+magnitudes >= 0 for the rasterizer.  Towers feed fast-escape comparisons
+only; when an orbit escapes is read from the orbit itself.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ H = 1e15
 LN_H = math.log(H)
 # Largest level-0 mantissa for which exp() is evaluated directly; above this
 # the mantissa is carried to level 1 unchanged (exp(m) has no float form but
-# (1, m) is exact by definition).
+# (1, m) is exact by definition).  The orbit track's Re z limit
+# (``expmap.RE_OVERFLOW``) is this constant, so the tower (0, Re z) of a
+# point past it steps to exactly (1, Re z).
 _EXP_DIRECT_MAX = 700.0
 
 
@@ -209,12 +212,3 @@ def exp_plus_array(
     out_level[at], out_mantissa[at] = from_real_array(np.exp(m[small]) + c)
     out_mantissa[level0[mid]] = m[mid] + np.log1p(c * np.exp(-m[mid]))
     return out_level, out_mantissa
-
-
-def gt_array(level: np.ndarray, mantissa: np.ndarray, other_level, other_mantissa) -> np.ndarray:
-    """Elementwise ``TowerReal(level, mantissa) > TowerReal(other_level, other_mantissa)``.
-
-    The arguments broadcast against each other.  A three-way ``cmp`` would
-    cost two such passes; callers needing ``>=`` negate the swapped test.
-    """
-    return (level > other_level) | ((level == other_level) & (mantissa > other_mantissa))

@@ -249,7 +249,6 @@ def suite_growth_domination() -> list[Check]:
         cfg = SeparationConfig(
             c=float(rng.uniform(1.0, 20.0)),
             delta=2.0 * math.pi + float(rng.uniform(0.0, 20.0)),
-            kappa=float(rng.uniform(0.1, 10.0)),
         )
         q = Params(a=a)
         if not real_part_margin(q, cfg) >= q.radius + 6.0:

@@ -303,7 +303,6 @@ def test_criterion_06_separating_margin_formula():
         cfg = SeparationConfig(
             c=float(rng.uniform(1.0, 20.0)),
             delta=2.0 * math.pi + float(rng.uniform(0.0, 20.0)),
-            kappa=float(rng.uniform(0.1, 10.0)),
         )
         if not real_part_margin(q, cfg) >= q.radius + 6.0:
             bad += 1

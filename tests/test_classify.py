@@ -23,7 +23,7 @@ from expbouquet.classify import (
     is_meandering_candidate,
     report_line,
 )
-from expbouquet.expmap import Params
+from expbouquet.expmap import Params, orbit
 from expbouquet.render import RenderSpec, classify_grid
 from expbouquet.towerfloat import LN_H, TowerReal
 
@@ -108,6 +108,60 @@ class TestClassifyPoint:
         if isinstance(got, FastEscaping):
             assert got.verified_depth >= 3
             assert first_bailout_crossing(P2.a, z0, 1e10) <= 20
+
+
+def _orbit_exit(a: complex, z0: complex, depth: int, bailout: float):
+    """First ``orbit`` sample that is "overflowed" or past ``bailout``, or None."""
+    return next(
+        (
+            s.n
+            for s in orbit(a, z0, depth, bailout)
+            if s.status == "overflowed" or abs(s.z) > bailout
+        ),
+        None,
+    )
+
+
+class TestExitRule:
+    """The exit step is read from the orbit, where ``orbit()`` stops or overflows."""
+
+    def test_bailout_1e15_tie_exits_at_the_crossing(self):
+        # log(1e15 + 2) rounds to ln(1e15), so the towers of |z_0| and of
+        # the bailout tie; the point itself is past the bailout.
+        p = Params(0.5)
+        assert _orbit_exit(p.a, 1e15 + 2, 2, 1e15) == 0
+        assert classify_point(p, 1e15 + 2, depth=2, bailout=1e15) == EscapingSlow(0)
+
+    def test_exact_zero_stays_within_a_subnormal_bailout(self):
+        # 0 is the parabolic fixed point of a = -1: |z_n| = 0 never exceeds
+        # the bailout, although the tower floor _TINY does.
+        p = Params(-1)
+        assert _orbit_exit(p.a, 0j, 20, 1e-320) is None
+        got = classify_point(p, 0j, depth=20, bailout=1e-320)
+        assert got == NonEscapingBounded(depth=20, bound=0.0)
+
+    @given(
+        st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        st.one_of(
+            st.builds(complex, st.floats(-4.0, 12.0), st.floats(-8.0, 8.0)),
+            st.builds(complex, st.floats(690.0, 710.0), st.floats(-1.0, 1.0)),
+            st.builds(complex, st.floats(1e15 - 8, 1e15 + 8), st.floats(-2.0, 2.0)),
+        ),
+        st.integers(min_value=1, max_value=40),
+        st.one_of(
+            st.floats(min_value=5e-324, max_value=1e15),
+            st.sampled_from([1e15, 1e-320, 5e-324]),
+        ),
+    )
+    @example(0.5, 1e15 + 2, 2, 1e15)
+    @example(-1, 0j, 20, 1e-320)
+    def test_exit_step_is_where_the_orbit_crosses(self, a, z0, depth, bailout):
+        got = classify_point(Params(a), z0, depth=depth, bailout=bailout)
+        crossing = _orbit_exit(a, z0, depth, bailout)
+        if isinstance(got, EscapingSlow):
+            assert got.first_exit_step == crossing
+        else:
+            assert (crossing is not None) == isinstance(got, FastEscaping)
 
 
 class TestFastEscapeTest:

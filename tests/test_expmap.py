@@ -157,6 +157,16 @@ class TestMaxModulus:
         assert got <= math.exp(r) + abs(a) + 1e-9
         assert got >= math.exp(r) - abs(a) - 1e-9
 
+    @pytest.mark.parametrize(
+        "a", [-2 + 0j, -1 + 0j, 5 + 3.14j, 2.06 + 1.57j, 1.004 + 2.9j, -300 + 0j, 40 - 90j]
+    )
+    @pytest.mark.parametrize("r", [0.5, math.pi, 7.0, 20.0, 120.0])
+    def test_bracket_bound_drops_no_maximum(self, monkeypatch, a, r):
+        # An infinite slack keeps every bracket, so this polishes them all.
+        pruned = max_modulus(a, r)
+        monkeypatch.setattr(expmap, "_BRACKET_SLACK", math.inf)
+        assert max_modulus(a, r) == pruned
+
 
 class TestMaxModulusIterates:
     def test_golden_tower_chain(self):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,6 +84,15 @@ DIFFERENTIAL_SPECS = {
     # e^4 + |a| equals M(R) exactly, so fast only with the growth model's |a|
     "model-adds-abs-a": _exp_spec(
         0.5, max_iter=3, viewport=(3.5, 4.5, -0.5, 0.5), size=1, bailout=0.5
+    ),
+    # the seed 1e15 + 2 is past a 1e15 bailout although log(1e15 + 2) rounds
+    # to ln(1e15): it exits at step 0
+    "bailout-1e15-tie": _exp_spec(
+        0.5, max_iter=2, viewport=(1e15 + 1, 1e15 + 3, -1.0, 1.0), size=1, bailout=1e15
+    ),
+    # the parabolic fixed point 0 of a = -1 never exceeds a subnormal bailout
+    "subnormal-bailout-zero": _exp_spec(
+        -1, max_iter=20, viewport=(-1.0, 1.0, -1.0, 1.0), size=1, bailout=1e-320
     ),
 }
 
@@ -174,6 +184,10 @@ class TestClassificationColors:
 
 
 class TestEscapeCountColoring:
+    def test_bailout_1e15_tie_exits_at_step_0(self):
+        spec = DIFFERENTIAL_SPECS["bailout-1e15-tie"]
+        assert render(replace(spec, coloring="escape-count"), workers=1).pixels == b"\x00"
+
     @staticmethod
     def _one_pixel(x0: float, bailout: float) -> RenderSpec:
         return RenderSpec(

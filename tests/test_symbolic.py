@@ -164,8 +164,6 @@ class TestRealPartMargin:
             SeparationConfig(c=0.5, delta=7.0)
         with pytest.raises(ValueError):
             SeparationConfig(c=3.0, delta=6.0)
-        with pytest.raises(ValueError):
-            SeparationConfig(c=3.0, delta=7.0, kappa=0.0)
 
     @given(
         st.builds(

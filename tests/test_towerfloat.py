@@ -4,17 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from expbouquet.towerfloat import (
-    H,
-    LN_H,
-    TowerReal,
-    exp_plus_array,
-    from_real_array,
-    gt_array,
-)
+from expbouquet.expmap import RE_OVERFLOW
+from expbouquet.towerfloat import H, LN_H, TowerReal, exp_plus_array, from_real_array
 
 representable = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-9.9e14, max_value=1.7e308
@@ -30,8 +24,6 @@ magnitudes = st.one_of(
     ),
     st.sampled_from(_BOUNDARIES).flatmap(lambda b: st.floats(b * 0.95, b * 1.05)),
 )
-# Valid towers at levels 0-3 (a mantissa at or above H moves up one level).
-towers = st.builds(TowerReal.normalized, st.integers(min_value=0, max_value=3), magnitudes)
 # Additive corrections: 0 and |a| of the four paper figure parameters.
 CORRECTIONS = [0.0] + [abs(a) for a in (-2, 5 + 3.14j, 2.06 + 1.57j, 1.004 + 2.9j)]
 
@@ -156,6 +148,32 @@ class TestExpPlus:
         with pytest.raises(ValueError):
             TowerReal.from_real(1.0).exp_plus(-0.5)
 
+    @given(
+        st.floats(min_value=RE_OVERFLOW, max_value=H, exclude_min=True, exclude_max=True),
+        st.one_of(st.sampled_from(CORRECTIONS), st.floats(min_value=0.0, max_value=1e300)),
+    )
+    @example(math.nextafter(RE_OVERFLOW, math.inf), 1e300)
+    def test_tower_past_re_overflow_steps_to_level_one(self, m, c):
+        # The growth model's first step for a point with Re z > 700 starts
+        # from the tower (0, Re z) and must give exactly (1, Re z).
+        t = TowerReal(0, m).exp_plus(c)
+        assert _bits(t.level, t.mantissa) == _bits(1, m)
+        lv, mt = exp_plus_array(np.array([0]), np.array([m]), c)
+        assert _bits(lv[0], mt[0]) == _bits(1, m)
+
+    def test_re_overflow_is_the_last_corrected_mantissa(self):
+        # At Re z = 700 itself the correction log1p(c e^-700) still applies
+        # (visible for c = 1e300); one ulp above it is dropped.
+        c = 1e300
+        above = math.nextafter(RE_OVERFLOW, math.inf)
+        want = RE_OVERFLOW + math.log1p(c * math.exp(-RE_OVERFLOW))
+        assert want > above
+        assert TowerReal(0, RE_OVERFLOW).exp_plus(c) == TowerReal(1, want)
+        assert TowerReal(0, above).exp_plus(c) == TowerReal(1, above)
+        lv, mt = exp_plus_array(np.array([0, 0]), np.array([RE_OVERFLOW, above]), c)
+        assert lv.tolist() == [1, 1]
+        assert mt.tolist() == [want, above]
+
 
 class TestLn:
     def test_inverse_of_exp_on_floats(self):
@@ -265,10 +283,3 @@ class TestProperties:
     )
     def test_from_real_array_on_single_branch_inputs(self, x):
         _assert_from_real_array_matches(np.array(x, dtype=np.float64))
-
-    @given(towers, towers)
-    def test_gt_array_matches_scalar_order(self, t, u):
-        lv, mt = np.array([t.level, u.level]), np.array([t.mantissa, u.mantissa])
-        gt = gt_array(lv, mt, lv[::-1], mt[::-1])
-        assert gt.tolist() == [t > u, u > t]
-        assert int(gt[0]) - int(gt[1]) == t.cmp(u)
