@@ -15,6 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -23,6 +24,7 @@ from .expmap import (
     MAG_GUARD,
     RE_OVERFLOW,
     Params,
+    _towers,
     _track,
     eval_map,
     max_modulus_iterates,
@@ -63,6 +65,15 @@ ATTRACTING_BAND = 1e-9
 ATTRACT_CUT = math.log1p(-ATTRACTING_BAND)
 PARABOLIC_BAND = 1e-6
 REVISIT_TOL = 1e-10
+# Revisit search: cells 2**-30 wide (wider than REVISIT_TOL), the clamp that
+# keeps scaled coordinates finite, the 3x3 block of cells a revisit can lie
+# in, the relative margin around REVISIT_TOL in which NumPy's complex abs
+# decides, and the unit roundoff of doubles.
+_CELL_SCALE = 2.0**30
+_CELL_CLAMP = 2.0**900
+_NEIGHBOURS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+_REVISIT_MARGIN = 2.0**-40
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class ConvergenceError(RuntimeError):
@@ -199,25 +210,24 @@ def classify_point(
     ``z_n`` is past ``bailout`` or no longer carried directly (the track
     has switched to its growth model), which is where
     :func:`~expbouquet.expmap.orbit` stops or first reports
-    ``"overflowed"`` (it reports ``|z_n| = 1e15`` at ``bailout = 1e15``
-    one step early).  Escaped orbits are then tested for tower domination
+    ``"overflowed"``.  Escaped orbits are then tested for tower domination
     over iterated maximum modulus (with at least three tower comparisons)
-    to separate fast escape from plain escape.  The offset is
-    :func:`_fast_offset` over :func:`_domination_table`, the rule the
-    rasterizer applies per pixel.  Bounded orbits are matched against
-    cycles of period up to 32, with the verdict re-checked 10 iterations
-    past ``depth``.
+    to separate fast escape from plain escape; only they build towers.
+    The offset is :func:`_fast_offset` over :func:`_domination_table`,
+    the rule the rasterizer applies per pixel.  Bounded orbits are matched
+    against cycles of period up to 32, with the verdict re-checked 10
+    iterations past ``depth``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not 0.0 < bailout <= MAG_GUARD:
         raise ValueError("bailout must be in (0, 1e15]")
-    total = depth + 10
-    zs, mags = _track(p.a, z, total, bailout)
+    zs = _track(p.a, z, depth + 10, bailout)
     exit_step = next(
         (n for n, w in enumerate(zs[: depth + 1]) if w is None or abs(w) > bailout), None
     )
     if exit_step is not None:
+        mags = _towers(p.a, zs[: depth + 1], bailout)
         ell = _fast_offset(mags, _domination_table(p.a, depth), depth)
         if ell is not None:
             return FastEscaping(offset=ell, verified_depth=depth - ell)
@@ -400,17 +410,76 @@ def _detect_param_cycle(
 
 
 def _detect_revisit(zs: Sequence[complex]) -> Optional[PostsingularlyFinite]:
-    """First revisit of an earlier point landing on a repelling cycle."""
-    pts = np.asarray(zs, dtype=complex)
+    """First revisit of an earlier point landing on a repelling cycle.
+
+    For each ``j`` in order, the revisit of ``z_j`` is the least ``i < j``
+    with ``np.abs(z_i - z_j) < REVISIT_TOL``.  It is reported when the
+    window's ``log |prod exp(z_k)|``, ``np.sum`` of ``Re z_i .. Re z_{j-1}``,
+    exceeds ``log(1 + 1e-6)``; otherwise the search goes on with ``j + 1``.
+
+    Candidates: each point is filed in a dict under its cell of width
+    ``2**-30`` (about 9.3e-10; the scaling is exact), after clamping its
+    coordinates to ``[-2**900, 2**900]``.  Clamping moves no two
+    coordinates further apart, so a point within ``REVISIT_TOL`` of
+    ``z_j`` differs from it by less than 0.11 of a cell in each
+    coordinate and lies in one of the 3x3 cells around the cell of
+    ``z_j``.  Distances use Python's ``abs``, which agrees with NumPy's
+    complex ``abs`` to a few ulps; within a relative ``2**-40`` of the
+    tolerance the test defers to the NumPy expression itself.
+
+    Window sums: let ``P_k`` and ``A_k`` be the prefix sums of ``Re z`` and
+    of ``|Re z|`` over the first ``k`` points, summed recursively, and let
+    ``E = fl(P_j - P_i)`` and ``u = 2**-53``.  Summation in any order, and
+    so ``np.sum``'s pairwise order too, is within ``gamma_k * sum|x|`` of
+    the exact sum, ``gamma_k = k u / (1 - k u)`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 4.2).  Each of
+    ``P_i``, ``P_j`` and the window's ``np.sum`` has at most ``j`` terms
+    whose ``|x|`` sum to at most ``A_j / (1 - gamma_j)``, and the
+    subtraction adds at most ``2u|E|``; so for ``j u < 1e-3``
+    ``|np.sum - E| <= 4u (j A_j + |E|)``.  A window with
+    ``E + 8u (j A_j + |E| + 1) < log(1 + 1e-6)`` is therefore not
+    repelling, and its ``np.sum`` is skipped: the doubled factor and the
+    ``+ 1`` absorb the rounding of the bound and of the comparison (an
+    overflowed bound compares false).  Every other window runs the
+    ``np.sum`` expression unchanged.
+    """
     repel_cut = math.log1p(PARABOLIC_BAND)
-    for j in range(1, len(pts)):
-        hits = np.nonzero(np.abs(pts[:j] - pts[j]) < REVISIT_TOL)[0]
-        if hits.size:
-            i = int(hits[0])
-            log_mult = float(np.sum(pts[i:j].real))
-            if log_mult > repel_cut:
-                return PostsingularlyFinite(preperiod=i, period=j - i)
-            # revisit found but not repelling; try later j
+    near = REVISIT_TOL * (1.0 - _REVISIT_MARGIN)
+    far = REVISIT_TOL * (1.0 + _REVISIT_MARGIN)
+    re_sums = list(accumulate((z.real for z in zs), initial=0.0))
+    abs_sums = list(accumulate((abs(z.real) for z in zs), initial=0.0))
+    cells: dict[tuple[int, int], list[int]] = {}
+    pts: Optional[np.ndarray] = None
+    for j, zj in enumerate(zs):
+        cx = math.floor(min(max(zj.real, -_CELL_CLAMP), _CELL_CLAMP) * _CELL_SCALE)
+        cy = math.floor(min(max(zj.imag, -_CELL_CLAMP), _CELL_CLAMP) * _CELL_SCALE)
+        i = j
+        for dx, dy in _NEIGHBOURS:
+            for k in cells.get((cx + dx, cy + dy), ()):
+                if k >= i:
+                    break
+                d = abs(zs[k] - zj)
+                if d >= far:
+                    continue
+                if d >= near:
+                    if pts is None:
+                        pts = np.asarray(zs, dtype=complex)
+                    if not np.abs(pts[:j] - pts[j])[k] < REVISIT_TOL:
+                        continue
+                i = k
+                break
+        cells.setdefault((cx, cy), []).append(j)
+        if i == j:
+            continue
+        est = re_sums[j] - re_sums[i]
+        if est + 8.0 * _UNIT_ROUNDOFF * (j * abs_sums[j] + abs(est) + 1.0) < repel_cut:
+            continue
+        if pts is None:
+            pts = np.asarray(zs, dtype=complex)
+        log_mult = float(np.sum(pts[i:j].real))
+        if log_mult > repel_cut:
+            return PostsingularlyFinite(preperiod=i, period=j - i)
+        # revisit found but not repelling; try later j
     return None
 
 

@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -102,46 +102,53 @@ def eval_map(a: complex, z: complex) -> complex:
     return cmath.exp(z) + a
 
 
-def _track(
-    a: complex, z0: complex, steps: int, bailout: float
-) -> tuple[list[complex | None], list[TowerReal]]:
-    """Iterate ``steps`` steps, returning points and magnitude towers.
+def _track(a: complex, z0: complex, steps: int, bailout: float) -> list[complex | None]:
+    """Iterate ``steps`` steps of the direct complex track.
 
-    The direct complex track runs while ``|z| <= bailout``, ``|z| < 1e15``
-    and ``Re z <= 700``; afterwards points are ``None`` and magnitudes
-    continue as towers under the far-right growth model
-    ``|z_{n+1}| = exp_plus(|z_n|, |a|)`` (or, when the switch was triggered
-    by ``Re z > 700``, from ``log |z_{n+1}| = Re z``: the additive term
-    ``log|1 + a exp(-z)|`` is below 1e-300 there).  The rasterizer's kernel
-    switches by the same rules.
+    Returns ``steps + 1`` points.  The track runs while ``|z| <= bailout``,
+    ``|z| < 1e15`` and ``Re z <= 700``; the step after the first point
+    that breaks one of these, and every later one, is ``None``: past it
+    only magnitudes continue, as :func:`_towers` builds them.  The
+    rasterizer's kernel switches by the same rules.
+    """
+    zs: list[complex | None] = [z0]
+    z = z0
+    for n in range(steps):
+        az = abs(z)
+        if az > bailout or az >= MAG_GUARD or z.real > RE_OVERFLOW:
+            zs += [None] * (steps - n)
+            break
+        z = cmath.exp(z) + a
+        zs.append(z)
+    return zs
+
+
+def _towers(a: complex, zs: Sequence[complex | None], bailout: float) -> list[TowerReal]:
+    """Magnitude towers ``|z_n|`` of a track from :func:`_track`, one per point.
+
+    A direct point gives ``from_real(max(|z_n|, _TINY))``.  Past the
+    switch the far-right growth model ``|z_{n+1}| = exp_plus(|z_n|, |a|)``
+    takes over, except when the switch was triggered by ``Re z > 700``
+    alone (``|z| <= bailout`` and ``|z| < 1e15``): then the first model
+    tower is ``log |z_{n+1}| = Re z_n``, since the additive term
+    ``log|1 + a exp(-z)|`` is below 1e-300 there.  A bounded orbit's
+    verdict reads no tower, so ``classify_point`` builds them only for
+    orbits that escape.
     """
     abs_a = abs(a)
-    zs: list[complex | None] = [z0]
-    mags: list[TowerReal] = [TowerReal.from_real(max(abs(z0), _TINY))]
-    z: complex | None = z0
-    for _ in range(steps):
+    mags: list[TowerReal] = []
+    prev: complex | None = None
+    for z in zs:
         if z is not None:
-            az = abs(z)
-            if az > bailout or az >= MAG_GUARD:
-                # Crossed the escape horizon: model growth from |z|.
-                mags.append(mags[-1].exp_plus(abs_a))
-                zs.append(None)
-                z = None
-                continue
-            if z.real > RE_OVERFLOW:
-                # exp(z) not representable; its log-magnitude is Re z.
-                mags.append(TowerReal(1, z.real))
-                zs.append(None)
-                z = None
-                continue
-            w = cmath.exp(z) + a
-            zs.append(w)
-            mags.append(TowerReal.from_real(max(abs(w), _TINY)))
-            z = w
+            mags.append(TowerReal.from_real(max(abs(z), _TINY)))
+        elif prev is not None and abs(prev) <= bailout and abs(prev) < MAG_GUARD:
+            # exp(z) not representable; its log-magnitude is Re z.
+            mags.append(TowerReal(1, prev.real))
         else:
+            # Crossed the escape horizon: model growth from |z|.
             mags.append(mags[-1].exp_plus(abs_a))
-            zs.append(None)
-    return zs, mags
+        prev = z
+    return mags
 
 
 def orbit(a: complex, z0: complex, depth: int, bailout: float = 1e10) -> list[OrbitSample]:
@@ -157,10 +164,10 @@ def orbit(a: complex, z0: complex, depth: int, bailout: float = 1e10) -> list[Or
         raise ValueError("depth must be >= 1")
     if not 0.0 < bailout <= MAG_GUARD:
         raise ValueError("bailout must be in (0, 1e15]")
-    zs, mags = _track(a, z0, depth, bailout)
+    zs = _track(a, z0, depth, bailout)
     samples: list[OrbitSample] = []
-    for n, (z, mag) in enumerate(zip(zs, mags)):
-        if n > 0 and z is not None and abs(z) >= MAG_GUARD:
+    for n, (z, mag) in enumerate(zip(zs, _towers(a, zs, bailout))):
+        if n > 0 and z is not None and abs(z) >= MAG_GUARD and abs(z) > bailout:
             z = None
         status = "in-range" if z is not None else "overflowed"
         samples.append(OrbitSample(n=n, z=z, log_mag=mag.ln(), status=status))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .classify import FastEscaping, classify_point
-from .expmap import Params, _track, eval_map
+from .expmap import Params, _towers, _track, eval_map
 from .towerfloat import TowerReal
 
 __all__ = [
@@ -233,6 +233,17 @@ def endpoint_estimate(
     Returns the last :class:`HairPoint`; ``converged`` is False when
     ``max_depth`` was reached first (addresses with rapidly growing
     entries need not have a reachable endpoint).
+
+    The pullbacks are extended, not redone.  With ``L = len(prefix)``,
+    the depth-``d`` pullback of ``s`` is the prefix branches applied to
+    the depth-``(d - L)`` pullback ``u[d - L]`` of the tail-only address
+    ``tail|tail`` (to the anchor itself while ``d <= L``), and
+    ``u[m] = inverse_branch(tail[0], ...(inverse_branch(tail[T-1],
+    u[m - T])))`` for ``T = len(tail)`` (from the anchor while ``m < T``).  So depth ``d`` costs
+    ``min(L, d) + min(T, d - L)`` calls (the second term only for
+    ``d > L``), never more than the ``d`` calls of a fresh pullback, and
+    every point is the same chain of calls on the same values as a fresh
+    pullback, so the result is bit-identical.
     """
     if not tol >= 1e-12:
         raise ValueError("tol must be >= 1e-12")
@@ -240,17 +251,31 @@ def endpoint_estimate(
         raise ValueError("max_depth must be >= 2")
     if anchor is None:
         anchor = max(10.0, p.radius)
-    prev = _pullback(p, s, 1, anchor)
-    best: Optional[HairPoint] = None
+    prefix, tail = s.prefix, s.tail
+    u = [complex(anchor)]
+
+    def pullback(depth: int) -> complex:
+        """Depth-``depth`` pullback; called for depths 1, 2, ... in turn, as it extends ``u``."""
+        m = depth - len(prefix)
+        if m > 0:
+            w = u[max(0, m - len(tail))]
+            for k in reversed(tail[:m]):
+                w = inverse_branch(p, k, w)
+            u.append(w)
+        z = u[max(0, m)]
+        for k in reversed(prefix[:depth]):
+            z = inverse_branch(p, k, z)
+        return z
+
+    prev = pullback(1)
     for depth in range(2, max_depth + 1):
-        z = _pullback(p, s, depth, anchor)
+        z = pullback(depth)
         residual = abs(z - prev)
-        best = HairPoint(address=s, depth=depth, z=z, residual=residual,
-                         converged=residual < tol)
         if residual < tol:
-            return best
+            break
         prev = z
-    return best
+    return HairPoint(address=s, depth=depth, z=z, residual=residual,
+                     converged=residual < tol)
 
 
 def separation_index(p: Params, z0: complex, z1: complex, depth: int) -> Optional[int]:
@@ -333,8 +358,9 @@ def find_domination_index(
     z0_class = classify_point(p, z0, cls_depth, bailout)
     if isinstance(z0_class, FastEscaping):
         raise PreconditionError("z0 must not classify as FastEscaping")
-    s_zs, s_mags = _track(p.a, s, depth, bailout)
-    z_zs, z_mags = _track(p.a, z0, depth, bailout)
+    s_zs = _track(p.a, s, depth, bailout)
+    s_mags = _towers(p.a, s_zs, bailout)
+    z_mags = _towers(p.a, _track(p.a, z0, depth, bailout), bailout)
     last_sign_positive = s.real > 0.0
     for n in range(depth + 1):
         if s_zs[n] is not None:

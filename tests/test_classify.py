@@ -2,12 +2,14 @@
 
 import cmath
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expbouquet import classify
+from expbouquet import classify, expmap
 from expbouquet.classify import (
     Attracting,
     Basin,
@@ -17,6 +19,7 @@ from expbouquet.classify import (
     ParabolicSuspect,
     PostsingularlyFinite,
     SingularValueEscapes,
+    Undetermined,
     classify_param,
     classify_point,
     find_cycle,
@@ -155,6 +158,7 @@ class TestExitRule:
     )
     @example(0.5, 1e15 + 2, 2, 1e15)
     @example(-1, 0j, 20, 1e-320)
+    @example(1e15 - 1, 0j, 3, 1e15)
     def test_exit_step_is_where_the_orbit_crosses(self, a, z0, depth, bailout):
         got = classify_point(Params(a), z0, depth=depth, bailout=bailout)
         crossing = _orbit_exit(a, z0, depth, bailout)
@@ -162,6 +166,135 @@ class TestExitRule:
             assert got.first_exit_step == crossing
         else:
             assert (crossing is not None) == isinstance(got, FastEscaping)
+
+    def test_point_at_the_guard_and_bailout_exits_a_step_later(self):
+        # z_1 = 1e15 exactly: not past a 1e15 bailout, so it is still an
+        # in-range sample; the track switches after it.
+        samples = orbit(1e15 - 1, 0j, 3, 1e15)
+        assert samples[1].z == 1e15 and samples[1].status == "in-range"
+        assert samples[2].status == "overflowed"
+        got = classify_point(Params(1e15 - 1), 0j, depth=3, bailout=1e15)
+        assert got == EscapingSlow(first_exit_step=2)
+
+
+def _eager_track(a, z0, steps, bailout):
+    """The orbit track with a tower built at every step: the oracle."""
+    abs_a = abs(a)
+    zs = [z0]
+    mags = [TowerReal.from_real(max(abs(z0), expmap._TINY))]
+    z = z0
+    for _ in range(steps):
+        if z is not None:
+            az = abs(z)
+            if az > bailout or az >= expmap.MAG_GUARD:
+                mags.append(mags[-1].exp_plus(abs_a))
+                zs.append(None)
+                z = None
+                continue
+            if z.real > expmap.RE_OVERFLOW:
+                mags.append(TowerReal(1, z.real))
+                zs.append(None)
+                z = None
+                continue
+            w = cmath.exp(z) + a
+            zs.append(w)
+            mags.append(TowerReal.from_real(max(abs(w), expmap._TINY)))
+            z = w
+        else:
+            mags.append(mags[-1].exp_plus(abs_a))
+            zs.append(None)
+    return zs, mags
+
+
+def _classify_point_eager(p, z, depth, bailout):
+    """``classify_point`` over :func:`_eager_track`: the oracle."""
+    zs, mags = _eager_track(p.a, z, depth + 10, bailout)
+    exit_step = next(
+        (n for n, w in enumerate(zs[: depth + 1]) if w is None or abs(w) > bailout), None
+    )
+    if exit_step is not None:
+        ell = classify._fast_offset(mags, classify._domination_table(p.a, depth), depth)
+        if ell is not None:
+            return FastEscaping(offset=ell, verified_depth=depth - ell)
+        return EscapingSlow(first_exit_step=exit_step)
+    period = classify._detect_basin_period(zs, depth)
+    if period is not None:
+        return Basin(period=period)
+    return NonEscapingBounded(depth=depth, bound=max(abs(w) for w in zs[: depth + 1]))
+
+
+# A seed near the repelling fixed point of a = -2 that crosses the 1e10
+# bailout at step 13, i.e. between depth and depth + 10 for depth 3..12.
+LATE_ESCAPE = complex(REPELLING_FP + 7.7e-6, 0.0)
+
+
+def _track_cases(test):
+    """Seeds near the escape horizons, with bailouts from subnormal to 1e15."""
+    examples = [
+        (-2, LATE_ESCAPE, 4, 1e10),
+        (-2, LATE_ESCAPE, 12, 1e10),
+        (-2, 701 + 0j, 5, 1e15),
+        (-2, 705 + 30j, 5, 1e15),
+        (0.5, 699.5 + 0.5j, 3, 1e15),
+        (0.5, 4 + 0j, 3, 0.5),
+        (-2, 3 + 0j, 6, 650.0),
+        (-0.5 + 1j, 1e15 + 1j, 3, 1e15),
+        (1e15 - 1, 0j, 3, 1e15),
+        (-1, 0j, 20, 1e-320),
+        (-1, 1e-300 + 0j, 20, 5e-324),
+    ]
+    for case in reversed(examples):
+        test = example(*case)(test)
+    return given(
+        st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        st.one_of(
+            st.builds(complex, st.floats(-4.0, 12.0), st.floats(-8.0, 8.0)),
+            st.builds(complex, st.floats(690.0, 710.0), st.floats(-40.0, 40.0)),
+            st.builds(complex, st.floats(1e15 - 8, 1e15 + 8), st.floats(-2.0, 2.0)),
+        ),
+        st.integers(min_value=1, max_value=40),
+        st.one_of(
+            st.floats(min_value=5e-324, max_value=1e15),
+            st.sampled_from([1e15, 1e10, 650.0, 5.0, 1e-320, 5e-324]),
+        ),
+    )(test)
+
+
+class TestTowersOnlyForEscapedOrbits:
+    """Towers are built from the points, and only for orbits that escape."""
+
+    @_track_cases
+    def test_matches_eager_towers(self, a, z0, depth, bailout):
+        p = Params(a)
+        assert classify_point(p, z0, depth, bailout) == _classify_point_eager(
+            p, z0, depth, bailout
+        )
+
+    @_track_cases
+    def test_towers_from_points_match_the_eager_track(self, a, z0, depth, bailout):
+        zs, mags = _eager_track(complex(a), z0, depth + 10, bailout)
+        assert expmap._track(complex(a), z0, depth + 10, bailout) == zs
+        assert expmap._towers(complex(a), zs, bailout) == mags
+
+    def test_late_escape_is_bounded_within_depth(self):
+        assert first_bailout_crossing(P2.a, LATE_ESCAPE, 1e10) == 13
+        got = classify_point(P2, LATE_ESCAPE, depth=10)
+        assert isinstance(got, NonEscapingBounded)
+
+    def test_basin_seed_builds_no_tower(self, monkeypatch):
+        calls = []
+        from_real = TowerReal.from_real
+
+        def counting(x):
+            calls.append(x)
+            return from_real(x)
+
+        monkeypatch.setattr(TowerReal, "from_real", staticmethod(counting))
+        assert classify_point(P2, -2 + 0j) == Basin(period=1)
+        assert calls == []
+        # The counter sees the towers of an escaping seed.
+        classify_point(P2, 10 + 0j)
+        assert calls
 
 
 class TestFastEscapeTest:
@@ -316,11 +449,141 @@ class TestClassifyParam:
         got = classify_param(Params(a=10 + 0j))
         assert got == SingularValueEscapes(first_exit_step=2)
 
+    def test_huge_singular_value_escapes_at_once(self):
+        for a in (1e300, -1e300, 1e300j, -1e300 - 1e300j):
+            assert classify_param(Params(a)) == SingularValueEscapes(first_exit_step=1)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             classify_param(P2, max_period=0)
         with pytest.raises(ValueError):
             classify_param(P2, depth=99)
+
+
+def _detect_revisit_by_scan(zs):
+    """The O(n^2) revisit search over every earlier point: the oracle."""
+    pts = np.asarray(zs, dtype=complex)
+    repel_cut = math.log1p(classify.PARABOLIC_BAND)
+    for j in range(1, len(pts)):
+        hits = np.nonzero(np.abs(pts[:j] - pts[j]) < classify.REVISIT_TOL)[0]
+        if hits.size:
+            i = int(hits[0])
+            log_mult = float(np.sum(pts[i:j].real))
+            if log_mult > repel_cut:
+                return PostsingularlyFinite(preperiod=i, period=j - i)
+    return None
+
+
+def _singular_orbit(a, depth=2000):
+    """The points ``classify_param`` hands to the revisit search."""
+    zs, z = [a], a
+    for _ in range(depth):
+        if z.real > classify.RE_OVERFLOW:
+            break
+        z = cmath.exp(z) + a
+        if abs(z) >= classify.MAG_GUARD:
+            break
+        zs.append(z)
+    return zs
+
+
+REPEL_CUT = math.log1p(classify.PARABOLIC_BAND)
+# Half of REVISIT_TOL and the double below it: doubling is exact, so pairs
+# at +-these straddle the cell edge at 0 at distances of exactly 1e-10 and
+# of the double just below it.
+HALF_TOL = 5e-11
+HALF_TOL_BELOW = math.nextafter(HALF_TOL, 0.0)
+# An undetermined parameter of the survey box: the singular orbit settles
+# on an attracting 34-cycle that the period-32 cycle search does not see,
+# so nearly 2 000 revisits are found, none of them repelling.
+LONG_CYCLE_A = 0.9519214602862136 + 1.6941442674396188j
+PSF_A = complex(math.log(math.pi), math.pi / 2)
+AFTER_OFFSET = [0.3 + 5j] + [complex(math.nextafter(REPEL_CUT, 1.0), 0.0)] * 2
+
+
+@st.composite
+def _clustered_orbits(draw):
+    """Points scattered around a few centres, so revisits near REVISIT_TOL occur."""
+    coord = st.one_of(
+        st.floats(-5.0, 5.0),
+        st.sampled_from(
+            [0.0, REPEL_CUT, -REPEL_CUT, 3 * 2.0**-30, 1e15 - 0.5, -1e15 + 2, 1e300, -1e300]
+        ),
+    )
+    centres = draw(st.lists(st.builds(complex, coord, coord), min_size=1, max_size=4))
+    offset = st.sampled_from(
+        [0.0, HALF_TOL, -HALF_TOL, HALF_TOL_BELOW, -HALF_TOL_BELOW, 1e-10, 2e-10, 4e-10]
+    )
+    picks = draw(st.lists(st.tuples(st.sampled_from(centres), offset, offset), max_size=40))
+    return [c + complex(dx, dy) for c, dx, dy in picks]
+
+
+class TestRevisitSearch:
+    """The cell search finds the revisit the quadratic scan finds."""
+
+    @given(_clustered_orbits())
+    @example([complex(2.0, -HALF_TOL), 1 + 3j, complex(2.0, HALF_TOL)])
+    @example([complex(2.0, -HALF_TOL_BELOW), 1 + 3j, complex(2.0, HALF_TOL_BELOW)])
+    @example([complex(1e15 - 0.5, -HALF_TOL_BELOW), 1 + 3j, complex(1e15 - 0.5, HALF_TOL_BELOW)])
+    @example([complex(-HALF_TOL, 1e15 - 2), 1 + 3j, complex(HALF_TOL, 1e15 - 2)])
+    @example([complex(REPEL_CUT, 0.0)] * 2)
+    @example([complex(math.nextafter(REPEL_CUT, 1.0), 0.0)] * 2)
+    @example(AFTER_OFFSET)
+    def test_matches_quadratic_scan(self, zs):
+        assert classify._detect_revisit(zs) == _detect_revisit_by_scan(zs)
+
+    @given(st.builds(complex, st.floats(0.5, 1.5), st.floats(1.5, 3.5)))
+    @settings(max_examples=25)
+    @example(LONG_CYCLE_A)
+    @example(PSF_A)
+    def test_matches_quadratic_scan_on_singular_orbits(self, a):
+        zs = _singular_orbit(a)
+        assert classify._detect_revisit(zs) == _detect_revisit_by_scan(zs)
+
+    def test_cell_edge_pairs(self):
+        # Exactly 1e-10 apart is not a revisit; the double below it is.
+        at = [complex(2.0, -HALF_TOL), 1 + 3j, complex(2.0, HALF_TOL)]
+        below = [complex(2.0, -HALF_TOL_BELOW), 1 + 3j, complex(2.0, HALF_TOL_BELOW)]
+        assert classify._detect_revisit(at) is None
+        assert classify._detect_revisit(below) == PostsingularlyFinite(preperiod=0, period=2)
+
+    @pytest.fixture
+    def np_sums(self, monkeypatch):
+        calls = []
+
+        def counting(x, *args, **kwargs):
+            calls.append(len(x))
+            return np.sum(x, *args, **kwargs)
+
+        fake_np = SimpleNamespace(asarray=np.asarray, abs=np.abs, sum=counting)
+        monkeypatch.setattr(classify, "np", fake_np)
+        return calls
+
+    def test_window_at_the_cut_runs_the_exact_sum(self, np_sums):
+        # The window sum equals the cut, within the rounding bound of the
+        # prefix estimate: the exact sum decides, and it is not above.
+        assert classify._detect_revisit([complex(REPEL_CUT, 0.0)] * 2) is None
+        assert np_sums == [1]
+        nudged = [complex(math.nextafter(REPEL_CUT, 1.0), 0.0)] * 2
+        assert classify._detect_revisit(nudged) == PostsingularlyFinite(preperiod=0, period=1)
+        # After a point with Re z = 0.3 the prefix estimate of the same
+        # window rounds below the cut; the exact sum is above it.
+        assert classify._detect_revisit(AFTER_OFFSET) == PostsingularlyFinite(1, 1)
+        assert np_sums == [1, 1, 1]
+
+    def test_attracting_revisits_need_no_exact_sum(self, np_sums):
+        zs = _singular_orbit(LONG_CYCLE_A)
+        assert len(zs) == 2001
+        assert classify._detect_revisit(zs) is None
+        assert np_sums == []
+        # Yet almost every step revisits an earlier point.
+        pts = np.asarray(zs)
+        revisits = sum(
+            bool(np.any(np.abs(pts[:j] - pts[j]) < classify.REVISIT_TOL))
+            for j in range(1, len(pts))
+        )
+        assert revisits > 1900
+        assert classify_param(Params(LONG_CYCLE_A)) == Undetermined()
 
 
 class TestMeanderingCandidate:

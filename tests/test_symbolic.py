@@ -3,13 +3,15 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from expbouquet import symbolic
 from expbouquet.classify import FastEscaping, classify_point, find_cycle
 from expbouquet.expmap import Params, eval_map
 from expbouquet.symbolic import (
     ExternalAddress,
+    HairPoint,
     PreconditionError,
     SeparationConfig,
     endpoint_estimate,
@@ -137,6 +139,94 @@ class TestEndpointEstimate:
             endpoint_estimate(P2, s, tol=1e-13)
         with pytest.raises(ValueError):
             endpoint_estimate(P2, s, max_depth=1)
+
+
+def _endpoint_by_fresh_pullbacks(p, s, tol=1e-10, max_depth=512, anchor=None):
+    """``endpoint_estimate`` redoing the whole pullback at every depth: the oracle."""
+
+    def pullback(depth):
+        z = complex(anchor)
+        for i in range(depth - 1, -1, -1):
+            z = symbolic.inverse_branch(p, s.entry(i), z)
+        return z
+
+    if anchor is None:
+        anchor = max(10.0, p.radius)
+    prev = pullback(1)
+    for depth in range(2, max_depth + 1):
+        z = pullback(depth)
+        residual = abs(z - prev)
+        if residual < tol:
+            break
+        prev = z
+    return HairPoint(address=s, depth=depth, z=z, residual=residual, converged=residual < tol)
+
+
+def _with_branch_count(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the ``inverse_branch`` calls it made through the module."""
+    calls = []
+    branch = symbolic.inverse_branch
+
+    def counting(p, k, w):
+        calls.append(k)
+        return branch(p, k, w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symbolic, "inverse_branch", counting)
+        return fn(*args, **kwargs), len(calls)
+
+
+_entries = st.integers(min_value=-3, max_value=3)
+_addresses = st.builds(
+    ExternalAddress,
+    st.lists(_entries, max_size=20).map(tuple),
+    st.lists(_entries, min_size=1, max_size=3).map(tuple),
+)
+# Prefixes of 20 entries that no tail copy absorbs, so they stay 20 long.
+PREFIX_20 = tuple(range(-3, 4)) * 2 + (-3, -2, -1, 0, 1, 2)
+
+
+class TestEndpointIsExtendedNotRedone:
+    """The running pullbacks give the oracle's points with no more calls."""
+
+    @given(
+        _addresses,
+        st.sampled_from([1e-12, 1e-10, 1e-8, 1e-3, 0.5]),
+        st.integers(min_value=2, max_value=60),
+        st.sampled_from([None, 3.0, 25.0 + 4j]),
+    )
+    @example(ExternalAddress((), (0,)), 1e-10, 60, None)
+    @example(ExternalAddress((), (1, -1)), 1e-10, 60, None)
+    @example(ExternalAddress((), (2, 0, -3)), 1e-10, 60, None)
+    @example(ExternalAddress(PREFIX_20, (1,)), 0.5, 60, None)
+    @example(ExternalAddress(PREFIX_20, (1, 2, 3)), 1e-10, 60, None)
+    @example(ExternalAddress(PREFIX_20, (0,)), 1e-12, 5, None)
+    @example(ExternalAddress((3, 3, -2), (1, 0)), 1e-12, 2, None)
+    def test_matches_fresh_pullbacks(self, s, tol, max_depth, anchor):
+        got, calls = _with_branch_count(
+            endpoint_estimate, P2, s, tol=tol, max_depth=max_depth, anchor=anchor
+        )
+        want, oracle_calls = _with_branch_count(
+            _endpoint_by_fresh_pullbacks, P2, s, tol, max_depth, anchor
+        )
+        assert got == want
+        assert calls <= oracle_calls
+
+    def test_shallow_convergence_after_a_long_prefix(self):
+        # Above the prefix's length nothing is shared: 1 + 2 + ... + depth.
+        s = ExternalAddress(PREFIX_20, (1,))
+        assert len(s.prefix) == 20
+        got, calls = _with_branch_count(endpoint_estimate, P2, s, tol=0.5)
+        assert got.converged and got.depth < 20
+        assert calls == got.depth * (got.depth + 1) // 2
+
+    def test_unconverged_at_max_depth(self):
+        s = ExternalAddress((), (0,))
+        got, calls = _with_branch_count(endpoint_estimate, P2, s, tol=1e-12, max_depth=5)
+        assert not got.converged and got.depth == 5
+        assert got.residual >= 1e-12
+        # One branch per depth instead of 1 + 2 + ... + 5.
+        assert calls == 5
 
 
 class TestSeparationIndex:
