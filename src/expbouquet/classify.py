@@ -222,6 +222,8 @@ def classify_point(
         raise ValueError("depth must be >= 1")
     if not 0.0 < bailout <= MAG_GUARD:
         raise ValueError("bailout must be in (0, 1e15]")
+    if not cmath.isfinite(z):
+        raise ValueError(f"seed must be finite, got {z}")
     zs = _track(p.a, z, depth + 10, bailout)
     exit_step = next(
         (n for n, w in enumerate(zs[: depth + 1]) if w is None or abs(w) > bailout), None

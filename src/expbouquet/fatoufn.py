@@ -139,6 +139,8 @@ def fatou_classify(z: complex, depth: int = 100) -> PointClass:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if not cmath.isfinite(z):
+        raise ValueError(f"seed must be finite, got {z}")
     w = complex(z)
     max_abs = abs(w)
     run = 0

@@ -16,6 +16,7 @@ are identical across runs, worker counts and scheduling orders.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -81,6 +82,8 @@ class RenderSpec:
         if self.viewport is None:
             object.__setattr__(self, "viewport", default_viewport(self.map_kind, self.a))
         x0, x1, y0, y1 = self.viewport
+        if not all(map(math.isfinite, (x0, x1, y0, y1, x1 - x0, y1 - y0))):
+            raise ValueError("viewport bounds and extents must be finite")
         if not (x0 < x1 and y0 < y1):
             raise ValueError("viewport must satisfy x_min < x_max, y_min < y_max")
         if self.width < 1 or self.height < 1 or self.width * self.height > 10**8:

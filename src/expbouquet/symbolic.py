@@ -196,11 +196,11 @@ def inverse_branch(p: Params, k: int, w: complex) -> complex:
     return base + complex(0.0, _TWO_PI * k)
 
 
-def _pullback(p: Params, s: ExternalAddress, depth: int, anchor: complex) -> complex:
-    """Apply the branches ``s_{depth-1}, ..., s_0`` innermost-first to ``anchor``."""
-    z = complex(anchor)
-    for i in range(depth - 1, -1, -1):
-        z = inverse_branch(p, s.entry(i), z)
+def _pullback(p: Params, word: tuple[int, ...], z: complex) -> complex:
+    """Apply the branches of ``word`` to ``z``, last entry first."""
+    z = complex(z)
+    for k in reversed(word):
+        z = inverse_branch(p, k, z)
     return z
 
 
@@ -216,8 +216,9 @@ def trace_hair(
         raise ValueError("depth must be >= 1")
     if anchor is None:
         anchor = max(10.0, p.radius)
-    z = _pullback(p, s, depth, anchor)
-    prev = _pullback(p, s, depth - 1, anchor) if depth > 1 else complex(anchor)
+    word = s.entries(depth)
+    z = _pullback(p, word, anchor)
+    prev = _pullback(p, word[:-1], anchor)
     return HairPoint(address=s, depth=depth, z=z, residual=abs(z - prev))
 
 
@@ -258,14 +259,8 @@ def endpoint_estimate(
         """Depth-``depth`` pullback; called for depths 1, 2, ... in turn, as it extends ``u``."""
         m = depth - len(prefix)
         if m > 0:
-            w = u[max(0, m - len(tail))]
-            for k in reversed(tail[:m]):
-                w = inverse_branch(p, k, w)
-            u.append(w)
-        z = u[max(0, m)]
-        for k in reversed(prefix[:depth]):
-            z = inverse_branch(p, k, z)
-        return z
+            u.append(_pullback(p, tail[:m], u[max(0, m - len(tail))]))
+        return _pullback(p, prefix[:depth], u[max(0, m)])
 
     prev = pullback(1)
     for depth in range(2, max_depth + 1):

@@ -22,7 +22,7 @@ small values only ever live at level 0.  Mantissas stay below H at every
 level, so a value too large for level L is always at level L + 1.
 
 Next to the scalar class, ``from_real_array`` and ``exp_plus_array`` apply
-the same rules elementwise to (level, mantissa) NumPy arrays of finite
+the same rules, bit for bit, to (level, mantissa) NumPy arrays of finite
 magnitudes >= 0 for the rasterizer.  Towers feed fast-escape comparisons
 only; when an orbit escapes is read from the orbit itself.
 """
@@ -186,21 +186,21 @@ def from_real_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise :meth:`TowerReal.from_real` for magnitudes ``x >= 0``."""
     big = x >= H
     mantissa = x.copy()
-    mantissa[big] = np.log(x[big])
+    mantissa[big] = [math.log(v) for v in x[big].tolist()]
     return big.astype(np.int64), mantissa
 
 
 def exp_plus_array(
     level: np.ndarray, mantissa: np.ndarray, c: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise :meth:`TowerReal.exp_plus`, branch for branch.
+    """Elementwise :meth:`TowerReal.exp_plus`, branch for branch, bit for bit.
 
     Every entry goes to ``(level + 1, mantissa)`` except the level-0
     entries below the direct limit, and each of the two level-0 branches
     runs only on its own entries, with the same float operations as the
-    scalar method.  The results are bit-identical except on the level-0
-    branch below ln(H), where NumPy's ``exp`` and ``math.exp`` may round
-    one ulp apart.
+    scalar method, evaluated per entry with ``math`` (NumPy's ``exp``,
+    ``log`` and ``log1p`` may round one ulp away from it).  Only bailouts
+    below the direct limit put entries on the two level-0 branches.
     """
     out_level = level + 1
     out_mantissa = mantissa.copy()
@@ -209,6 +209,7 @@ def exp_plus_array(
     small = m < LN_H
     mid = ~small & (m <= _EXP_DIRECT_MAX)
     at = level0[small]
-    out_level[at], out_mantissa[at] = from_real_array(np.exp(m[small]) + c)
-    out_mantissa[level0[mid]] = m[mid] + np.log1p(c * np.exp(-m[mid]))
+    e = np.array([math.exp(x) for x in m[small].tolist()], dtype=np.float64)
+    out_level[at], out_mantissa[at] = from_real_array(e + c)
+    out_mantissa[level0[mid]] = [x + math.log1p(c * math.exp(-x)) for x in m[mid].tolist()]
     return out_level, out_mantissa

@@ -99,6 +99,15 @@ class TestClassifyPoint:
         with pytest.raises(ValueError):
             classify_point(P2, 0j, bailout=1e16)
 
+    @pytest.mark.parametrize(
+        "z", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
+              complex(0.0, -math.inf), math.nan]
+    )
+    def test_non_finite_seed_rejected(self, z):
+        # A NaN seed used to come back NonEscapingBounded(bound=nan).
+        with pytest.raises(ValueError, match="finite"):
+            classify_point(P2, z)
+
     @given(
         st.builds(
             complex,

@@ -115,6 +115,21 @@ class TestArgumentErrors:
         assert code == 2
         assert "bailout" in err
 
+    def test_infinite_viewport_width_is_an_argument_error(self, capsys):
+        code, _, err = run(
+            ["render", "--viewport=-1e308,1e308,-1,1", "--out", "x.pgm"], capsys
+        )
+        assert code == 2
+        assert "finite" in err
+
+    @pytest.mark.parametrize("map_kind", ["exp", "fatou"])
+    def test_overflowing_seed_is_an_argument_error(self, map_kind, capsys):
+        code, _, err = run(
+            ["classify-point", "--map", map_kind, "--a", "-2", "--z", "1e309"], capsys
+        )
+        assert code == 2
+        assert "finite" in err
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(["--help"], capsys)
         assert code == 0

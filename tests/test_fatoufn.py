@@ -104,3 +104,11 @@ class TestClassify:
     def test_depth_precondition(self):
         with pytest.raises(ValueError):
             fatou_classify(0j, depth=0)
+
+    @pytest.mark.parametrize(
+        "z", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(-math.inf, 0.0),
+              complex(0.0, math.inf)]
+    )
+    def test_non_finite_seed_rejected(self, z):
+        with pytest.raises(ValueError, match="finite"):
+            fatou_classify(z)

@@ -132,6 +132,23 @@ class TestRenderSpec:
         with pytest.raises(ValueError):
             RenderSpec(map_kind="exponential", coloring="rainbow")
 
+    @pytest.mark.parametrize("map_kind", ["exponential", "fatou"])
+    @pytest.mark.parametrize(
+        "viewport",
+        [
+            (-math.inf, 1.0, -1.0, 1.0),
+            (-1.0, 1.0, -1.0, math.inf),
+            (-1.0, math.nan, -1.0, 1.0),
+            (-1e308, 1e308, -1.0, 1.0),  # finite bounds, infinite width
+            (-1.0, 1.0, -1e308, 1e308),
+        ],
+        ids=["inf-bound", "inf-top", "nan-bound", "inf-width", "inf-height"],
+    )
+    def test_non_finite_viewport_rejected(self, map_kind, viewport):
+        # Otherwise every pixel gets one tag from a NaN or infinite seed.
+        with pytest.raises(ValueError, match="finite"):
+            RenderSpec(map_kind=map_kind, viewport=viewport)
+
 
 class TestClassificationColors:
     def test_reference_pixels(self):

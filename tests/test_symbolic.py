@@ -141,20 +141,30 @@ class TestEndpointEstimate:
             endpoint_estimate(P2, s, max_depth=1)
 
 
-def _endpoint_by_fresh_pullbacks(p, s, tol=1e-10, max_depth=512, anchor=None):
-    """``endpoint_estimate`` redoing the whole pullback at every depth: the oracle."""
+def _fresh_pullback(p, s, depth, anchor):
+    """The branches ``s_{depth-1}, ..., s_0`` applied to ``anchor``, each looked up anew."""
+    z = complex(anchor)
+    for i in range(depth - 1, -1, -1):
+        z = symbolic.inverse_branch(p, s.entry(i), z)
+    return z
 
-    def pullback(depth):
-        z = complex(anchor)
-        for i in range(depth - 1, -1, -1):
-            z = symbolic.inverse_branch(p, s.entry(i), z)
-        return z
 
+def _hair_by_fresh_pullbacks(p, s, depth, anchor=None):
+    """``trace_hair`` pulling back from scratch at ``depth`` and ``depth - 1``: the oracle."""
     if anchor is None:
         anchor = max(10.0, p.radius)
-    prev = pullback(1)
+    z = _fresh_pullback(p, s, depth, anchor)
+    residual = abs(z - _fresh_pullback(p, s, depth - 1, anchor))
+    return HairPoint(address=s, depth=depth, z=z, residual=residual)
+
+
+def _endpoint_by_fresh_pullbacks(p, s, tol=1e-10, max_depth=512, anchor=None):
+    """``endpoint_estimate`` redoing the whole pullback at every depth: the oracle."""
+    if anchor is None:
+        anchor = max(10.0, p.radius)
+    prev = _fresh_pullback(p, s, 1, anchor)
     for depth in range(2, max_depth + 1):
-        z = pullback(depth)
+        z = _fresh_pullback(p, s, depth, anchor)
         residual = abs(z - prev)
         if residual < tol:
             break
@@ -227,6 +237,32 @@ class TestEndpointIsExtendedNotRedone:
         assert got.residual >= 1e-12
         # One branch per depth instead of 1 + 2 + ... + 5.
         assert calls == 5
+
+
+class TestTraceHairLooksUpEachEntryOnce:
+    """``trace_hair`` gives the oracle's point from one entry lookup per depth."""
+
+    @given(
+        _addresses,
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([None, 3.0, 25.0 + 4j]),
+    )
+    @example(ExternalAddress((), (0,)), 1, None)
+    @example(ExternalAddress(PREFIX_20, (1, 2, 3)), 40, None)
+    def test_matches_fresh_pullbacks(self, s, depth, anchor):
+        looked_up = []
+        entry = ExternalAddress.entry
+
+        def counting(self, i):
+            looked_up.append(i)
+            return entry(self, i)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ExternalAddress, "entry", counting)
+            got, calls = _with_branch_count(trace_hair, P2, s, depth, anchor)
+        assert got == _hair_by_fresh_pullbacks(P2, s, depth, anchor)
+        assert calls == 2 * depth - 1
+        assert sorted(looked_up) == list(range(depth))
 
 
 class TestSeparationIndex:
