@@ -8,23 +8,29 @@ magnitude towers are (level, mantissa) arrays under the array tower ops
 of :mod:`expbouquet.towerfloat`.  Each kernel iterates only the pixels
 that still need a step: the exponential kernel keeps a direct set (points
 evaluated with ``exp``) and a growth-model set (towers advanced with
-``exp_plus``), the drift kernel a live set that pixels leave on underflow
-or certified escape.  The grid is cut into fixed horizontal
-blocks that are pure functions of the render description, so output bytes
-are identical across runs, worker counts and scheduling orders.
+``exp_plus``) and retires direct pixels trapped near an attracting cycle
+as ``Basin`` (:func:`_trapping_discs`), the drift kernel a live set that
+pixels leave on underflow or certified escape.  The grid is cut into fixed
+horizontal blocks that are pure functions of the render description, so
+output bytes are identical across runs, worker counts and scheduling orders.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import multiprocessing
+import operator
 import os
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
-from .classify import ATTRACT_CUT, CYCLE_DETECT_TOL, _domination_table
-from .expmap import MAG_GUARD, RE_OVERFLOW, _TINY
+from .classify import ATTRACT_CUT, CYCLE_DETECT_TOL, Attracting, classify_param
+from .classify import _UNIT_ROUNDOFF, _domination_table
+from .expmap import MAG_GUARD, RE_OVERFLOW, _TINY, Params
 from .fatoufn import BOUNDED_BOX, DRIFT_THRESHOLD, DRIFT_WINDOW, _RE_UNDERFLOW
 from .towerfloat import exp_plus_array, from_real_array
 
@@ -52,6 +58,10 @@ TAG_UNDECIDED = 4
 TAG_NAMES = ("FastEscaping", "EscapingSlow", "NonEscapingBounded", "Basin", "Undecided")
 
 _CLASS_COLORS = np.array([0, 96, 192, 255, 128], dtype=np.uint8)
+
+# Outward rounding of a trapping disc: a point whose computed distance to the
+# centre is at most rho lies within rho * _WIDEN of it.
+_WIDEN = 1.0 + 2.0**-40
 
 
 def default_viewport(map_kind: str, a: complex = 0j) -> tuple[float, float, float, float]:
@@ -128,6 +138,61 @@ def _pixel_centers(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndar
     return xs, ys
 
 
+@lru_cache(maxsize=None)
+def _trapping_discs(
+    a: complex, depth: int, bailout: float
+) -> tuple[tuple[complex, ...], tuple[float, ...]] | None:
+    """Discs ``|w - c_i| <= rho_i`` that trap the attracting cycle of ``a``: ``(cycle, radii)``.
+
+    The centres are the ``Attracting`` cycle ``c_0 .. c_{p-1}`` of
+    ``classify_param(Params(a))``.  A point at computed distance ``<= rho_i``
+    from ``c_i`` is within ``r_i = rho_i (1 + 2^-40)`` of it, and then
+    ``np.exp(w) + a`` is within ``rho_{i+1}`` of ``c_{i+1}`` (indices mod
+    ``p``): ``|e^w - e^{c_i}| <= e^{Re c_i} expm1(r_i)``, the float
+    ``c_{i+1}`` misses ``f(c_i)`` by ``|fl f(c_i) - c_{i+1}|``, and
+    ``np.exp(w) + a`` and ``cmath.exp(c_i) + a`` each round by less than
+    ``16u (e^{Re c_i + r_i} + |a| + |c_{i+1}| + 1)`` (each component of a
+    complex ``exp`` is within a few ulps of ``e^{Re w}``, adding ``a``
+    rounds once).  ``rho_{i+1}`` is that sum, widened by ``1 + 2^-40`` for
+    its own rounding.  ``rho_0`` makes the largest radius about
+    ``CYCLE_DETECT_TOL / 4``.  The chain must close, ``rho_p <= rho_0``,
+    which radii this small can because ``prod e^{Re c_i} = |lambda| < 1``.
+
+    None unless it closes, ``p <= min(32, depth)``, ``2 max r_i <
+    CYCLE_DETECT_TOL``, ``sum(Re c_i + r_i) + 4(p + 1)u(sum(|Re c_i| + r_i)
+    + 1) < ATTRACT_CUT`` (a float sum of ``p`` terms errs by at most
+    ``gamma_p`` times their absolute sum; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 4.2), and no disc point leaves the
+    direct track: ``(|c_i| + r_i)(1 + 2^-40) < min(bailout, 1e15)`` and
+    ``Re c_i + r_i <= 700``.
+    """
+    verdict = classify_param(Params(a))
+    if not isinstance(verdict, Attracting) or verdict.period > min(32, depth):
+        return None
+    cycle, p = verdict.cycle, verdict.period
+    grow = [math.exp(c.real) for c in cycle]  # Re c_i <= 700: find_cycle ran eval_map on each
+    radii = [0.25 * CYCLE_DETECT_TOL / max(accumulate(grow[:-1], operator.mul, initial=1.0))]
+    for i, c in enumerate(cycle):
+        r, c_next = radii[i] * _WIDEN, cycle[(i + 1) % p]
+        eps = 16.0 * _UNIT_ROUNDOFF * (math.exp(c.real + r) + abs(a) + abs(c_next) + 1.0)
+        miss = abs(cmath.exp(c) + a - c_next)
+        radii.append((grow[i] * math.expm1(r) + miss + 2.0 * eps) * _WIDEN)
+    wide = [r * _WIDEN for r in radii[:p]]
+    window = sum(c.real + r for c, r in zip(cycle, wide))
+    size = sum(abs(c.real) + r for c, r in zip(cycle, wide))
+    if (
+        radii[p] <= radii[0]
+        and 2.0 * max(wide) < CYCLE_DETECT_TOL
+        and window + 4.0 * (p + 1) * _UNIT_ROUNDOFF * (size + 1.0) < ATTRACT_CUT
+        and all(
+            (abs(c) + r) * _WIDEN < min(bailout, MAG_GUARD) and c.real + r <= RE_OVERFLOW
+            for c, r in zip(cycle, wide)
+        )
+    ):
+        return cycle, tuple(radii[:p])
+    return None
+
+
 def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Classify one row block of an exponential-map raster.
 
@@ -150,6 +215,19 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     :func:`expbouquet.classify._domination_table`: the running maximum of
     ``k + 1 - c(k)``, where ``c(k)`` counts the entries ``<= T_k``.  The
     pixel is fast iff that bound (at least 0) is ``<= max_iter - 3``.
+
+    With :func:`_trapping_discs` around an attracting ``p``-cycle, a direct
+    pixel whose ``z_n`` lies in the largest disc ``D_k`` at a step
+    ``n <= max_iter - p`` is retired: cut from every set, tagged ``Basin``
+    with exit -1, skipped by basin detection.  A trapped orbit visits
+    ``D_k`` every ``p`` steps, so it retires at most ``p - 1`` steps late.
+    The bytes are those of the full pass: every later float point stays in
+    the disc of its cycle index, so the pixel never switches (no exit), and
+    the ``q = p`` test passes at ``max_iter`` and ``max_iter + 10``: the
+    compared points share a disc, discs are narrower than
+    ``CYCLE_DETECT_TOL``, and the window sums below ``ATTRACT_CUT``.  The
+    tag does not record ``q``.  The scalar ``classify_point`` does not
+    retire: it is this rule's independent oracle.
     """
     a = spec.a
     depth = spec.max_iter
@@ -171,11 +249,20 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     tail_from = max(0, depth - 32)  # basin detection reads steps tail_from .. total
     tail = np.full((total + 1 - tail_from, npix), np.nan, dtype=np.complex128)
 
+    discs = _trapping_discs(a, depth, spec.bailout)
+    last_retire = -1  # retire into the largest disc D_k at steps n <= last_retire
+    if discs is not None:
+        k = int(np.argmax(discs[1]))
+        ck, rk, mk = discs[0][k], discs[1][k], abs(discs[0][k])
+        last_retire = depth - len(discs[0])
+
     # Per-pixel state in set order: positions [0, nd) hold the direct set,
-    # whose points are z (and moduli az), and [nd, npix) the model set;
-    # pixel[i] is the raster index of position i.  Exits are in raster order.
+    # whose points are z (and moduli az), and [nd, len(pixel)) the model
+    # set; pixel[i] is the raster index of position i.  Retired pixels are
+    # cut off the front of every state array.  Exits are in raster order.
     pixel = np.arange(npix)
     exits = np.full(npix, -1, dtype=np.int64)
+    retired = np.zeros(npix, dtype=bool)
     offset = np.zeros(npix, dtype=np.int64)  # least admissible fast-escape offset
     nd = npix
 
@@ -183,6 +270,24 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
         az = np.abs(z)
         lv, mt = from_real_array(np.maximum(az, _TINY))
         for n in range(total + 1):
+            if n <= last_retire:
+                # |z - c_k| >= ||z| - |c_k||: the complex distance runs on
+                # the pixels the moduli leave in reach only.
+                near = np.flatnonzero(np.abs(az - mk) <= rk)
+                near = near[np.abs(z[near] - ck) <= rk]
+                m = near.size
+                if m:
+                    retired[pixel[near]] = True
+                    # Staying pixels among the first m move into the slots
+                    # of retirees past them; then the first m are cut off.
+                    stay = np.flatnonzero(~np.isin(np.arange(m), near))
+                    into = near[near >= m]
+                    for state in (pixel, offset, lv, mt, z, az):
+                        state[into] = state[stay]
+                    pixel, offset, lv, mt, z, az = (
+                        state[m:] for state in (pixel, offset, lv, mt, z, az)
+                    )
+                    nd -= m
             if n >= tail_from:
                 tail[n - tail_from, pixel[:nd]] = z
             if n <= depth:
@@ -198,7 +303,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
             # magnitude past the bailout (or the tower guard) first, then
             # real part past the direct-exp range.  Leavers swap places with
             # the last staying direct pixels: the model set grows to
-            # [nd, npix) and no state is copied beyond the swapped entries.
+            # [nd, len(pixel)) and no state is copied beyond the swapped entries.
             past = az > spec.bailout
             guard = past | (az >= MAG_GUARD)
             reov = ~guard & (z.real > RE_OVERFLOW)
@@ -224,12 +329,14 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
             lv[nd:], mt[nd:] = exp_plus_array(lv[nd:], mt[nd:], abs(a))
             lv[:nd], mt[:nd] = from_real_array(np.maximum(az, _TINY))
 
-        offset = offset[np.argsort(pixel)]  # set order -> raster order
+        offset_at = np.zeros(npix, dtype=np.int64)  # set order -> raster order
+        offset_at[pixel] = offset
         escaped = exits >= 0
         tags = np.full(npix, TAG_BOUNDED, dtype=np.uint8)
-        tags[escaped] = np.where(offset[escaped] <= depth - 3, TAG_FAST, TAG_SLOW)
+        tags[escaped] = np.where(offset_at[escaped] <= depth - 3, TAG_FAST, TAG_SLOW)
+        tags[retired] = TAG_BASIN
 
-        bounded = ~escaped  # basin detection on bounded pixels
+        bounded = ~escaped & ~retired  # basin detection on the other bounded pixels
         if bounded.any():
             z_depth, z_total = tail[depth - tail_from], tail[-1]
             assigned = np.zeros(npix, dtype=bool)

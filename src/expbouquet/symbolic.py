@@ -204,18 +204,25 @@ def _pullback(p: Params, word: tuple[int, ...], z: complex) -> complex:
     return z
 
 
+def _anchor(p: Params, anchor: float | complex | None) -> complex:
+    """The pullback start point, ``max(10, radius)`` by default; ValueError unless finite."""
+    z = complex(max(10.0, p.radius) if anchor is None else anchor)
+    if not cmath.isfinite(z):
+        raise ValueError(f"anchor must be finite, got {z}")
+    return z
+
+
 def trace_hair(
     p: Params, s: ExternalAddress, depth: int, anchor: float | complex | None = None
 ) -> HairPoint:
     """Point on the hair with address ``s`` via ``depth``-fold pullback.
 
-    The anchor defaults to ``max(10, radius)``; the residual compares the
-    pullbacks at ``depth`` and ``depth - 1``.
+    The anchor defaults to ``max(10, radius)`` and must be finite; the
+    residual compares the pullbacks at ``depth`` and ``depth - 1``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if anchor is None:
-        anchor = max(10.0, p.radius)
+    anchor = _anchor(p, anchor)
     word = s.entries(depth)
     z = _pullback(p, word, anchor)
     prev = _pullback(p, word[:-1], anchor)
@@ -250,10 +257,8 @@ def endpoint_estimate(
         raise ValueError("tol must be >= 1e-12")
     if max_depth < 2:
         raise ValueError("max_depth must be >= 2")
-    if anchor is None:
-        anchor = max(10.0, p.radius)
     prefix, tail = s.prefix, s.tail
-    u = [complex(anchor)]
+    u = [_anchor(p, anchor)]
 
     def pullback(depth: int) -> complex:
         """Depth-``depth`` pullback; called for depths 1, 2, ... in turn, as it extends ``u``."""

@@ -10,8 +10,9 @@ arithmetic laws of the tower representation, ``maxmod`` the circle
 maximum-modulus closed form and its growth bounds, ``lemma7`` the orbit
 domination index and the half-plane margin formula, ``semiconj`` the
 exponential semiconjugacy of the drift map, ``separation`` hair
-endpoints and strip separation, and ``figures`` the reference renders
-(including their golden SHA-256 digests).
+endpoints and strip separation, ``figures`` the reference renders
+(including their golden SHA-256 digests), and ``differential`` the
+rasterizer against the scalar classifiers, pixel by pixel.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .classify import find_cycle
+from .classify import FastEscaping, classify_point, find_cycle
 from .expmap import Params, eval_map, max_modulus
-from .fatoufn import fatou_eval, semiconj_residual
-from .render import RenderSpec, escape_fraction, render
+from .fatoufn import fatou_classify, fatou_eval, semiconj_residual
+from .render import TAG_NAMES, RenderSpec, classify_grid, escape_fraction, render
 from .symbolic import (
     ExternalAddress,
     SeparationConfig,
@@ -457,6 +458,58 @@ def suite_figures(threads: int | None = None) -> list[Check]:
     return rows
 
 
+# ---------------------------------------------------------------------------
+# differential: the rasterizer against the scalar classifiers, pixel by pixel
+
+#: 48x48 grids on the default viewports: seven parameters of the exponential
+#: map and the drift map, each at three depths.
+DIFFERENTIAL_GRIDS = tuple(
+    RenderSpec(map_kind=kind, a=a, width=48, height=48, max_iter=depth)
+    for kind, params in (
+        ("exponential", (-2, 5 + 3.14j, 2.06 + 1.57j, 1.004 + 2.9j, 0.3, -0.5 + 1j, 2)),
+        ("fatou", (0,)),
+    )
+    for a in params
+    for depth in (20, 60, 200)
+)
+
+
+def differential_row(spec: RenderSpec) -> Check:
+    """Compare each pixel of ``spec`` with the scalar verdict on its cell centre.
+
+    The verdict is ``classify_point`` (``fatou_classify`` for the drift
+    map).  A pixel agrees when its tag names the verdict and its exit step
+    is the verdict's ``first_exit_step``; a verdict without one agrees with
+    an exit (any step) exactly when it is ``FastEscaping``.
+    """
+    tags, exits = classify_grid(spec, workers=1)
+    x0, x1, y0, y1 = spec.viewport
+    dx, dy = (x1 - x0) / spec.width, (y1 - y0) / spec.height
+    p = Params(spec.a)
+    bad: list[str] = []
+    for (i, j), tag in np.ndenumerate(tags):
+        z = complex(x0 + (j + 0.5) * dx, y1 - (i + 0.5) * dy)
+        if spec.map_kind == "fatou":
+            got = fatou_classify(z, depth=spec.max_iter)
+        else:
+            got = classify_point(p, z, depth=spec.max_iter, bailout=spec.bailout)
+        want = getattr(got, "first_exit_step", None)
+        exit_ok = (
+            exits[i, j] == want if want is not None
+            else (exits[i, j] >= 0) == isinstance(got, FastEscaping)
+        )
+        if type(got).__name__ != TAG_NAMES[tag] or not exit_ok:
+            bad.append(f"({i},{j}) grid {TAG_NAMES[tag]} exit {exits[i, j]}, scalar {got}")
+    where = f"a={_fmt_complex(spec.a)}," if spec.map_kind == "exponential" else "fatou,"
+    detail = f"{len(bad)} of {tags.size} pixels disagree" + (f"; first {bad[0]}" if bad else "")
+    return (f"differential[{where}iter={spec.max_iter}]", not bad, detail)
+
+
+def suite_differential() -> list[Check]:
+    """One row per grid of :data:`DIFFERENTIAL_GRIDS`."""
+    return [differential_row(spec) for spec in DIFFERENTIAL_GRIDS]
+
+
 SUITES: dict[str, Callable[..., list[Check]]] = {
     "tower": suite_tower,
     "maxmod": suite_maxmod,
@@ -464,6 +517,7 @@ SUITES: dict[str, Callable[..., list[Check]]] = {
     "semiconj": suite_semiconj,
     "separation": suite_separation,
     "figures": suite_figures,
+    "differential": suite_differential,
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from expbouquet import verify
 from expbouquet.cli import main, parse_complex
 from expbouquet.render import RenderSpec, _block_rows
 from expbouquet.symbolic import ExternalAddress
@@ -16,6 +17,9 @@ from expbouquet.symbolic import ExternalAddress
 raster = importlib.import_module("expbouquet.render")
 
 ATTRACTING_MULT = 0.15859433956303937
+
+# The differential suite's a = -2, max_iter 60 grid, cut down to 8x8.
+SMALL_DIFFERENTIAL = RenderSpec("exponential", a=-2, width=8, height=8, max_iter=60)
 
 
 def run(argv, capsys):
@@ -388,6 +392,14 @@ class TestTraceHair:
         assert fields["depth"] == "12"
         assert fields["converged"] in ("true", "false")
 
+    @pytest.mark.parametrize("depth", [[], ["--depth", "3"]], ids=["endpoint", "fixed-depth"])
+    def test_overflowing_anchor_is_an_argument_error(self, depth, capsys):
+        code, out, err = run(
+            ["trace-hair", "--a", "-2", "--address", "|0", "--anchor", "1e309", *depth], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
     def test_address_requires_pipe(self, capsys):
         code, _, err = run(
             ["trace-hair", "--a", "-2+0i", "--address", "0"], capsys
@@ -430,6 +442,24 @@ class TestVerifyCommand:
         code, out, _ = run(["verify", "tower"], capsys)
         assert code == 1
         assert out.strip() == "fake-check: FAIL (boom)"
+
+    def test_differential_suite_on_one_small_grid(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "DIFFERENTIAL_GRIDS", (SMALL_DIFFERENTIAL,))
+        code, out, _ = run(["verify", "differential"], capsys)
+        assert code == 0
+        assert out == "differential[a=-2+0i,iter=60]: ok (0 of 64 pixels disagree)\n"
+
+    def test_differential_suite_fails_on_a_wrong_pixel(self, capsys, monkeypatch):
+        tags, exits = raster.classify_grid(SMALL_DIFFERENTIAL, workers=1)
+        tags[3, 2] = raster.TAG_UNDECIDED
+        monkeypatch.setattr(verify, "DIFFERENTIAL_GRIDS", (SMALL_DIFFERENTIAL,))
+        monkeypatch.setattr(verify, "classify_grid", lambda spec, workers: (tags, exits))
+        code, out, _ = run(["verify", "differential"], capsys)
+        assert code == 1
+        assert out.startswith(
+            "differential[a=-2+0i,iter=60]: FAIL (1 of 64 pixels disagree; "
+            "first (3,2) grid Undecided exit -1, scalar Basin(period=1))"
+        )
 
     def test_invalid_suite_name(self, capsys):
         code, _, err = run(["verify", "nonsense"], capsys)

@@ -1,5 +1,6 @@
 """Tests for the deterministic classification rasterizer."""
 
+import cmath
 import hashlib
 import math
 import tracemalloc
@@ -7,10 +8,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expbouquet.classify import classify_point
+from expbouquet.classify import CYCLE_DETECT_TOL, classify_point
 from expbouquet.expmap import Params
 from expbouquet.render import (
     TAG_BASIN,
@@ -29,6 +30,7 @@ from expbouquet.render import (
     escape_fraction,
     render,
     write_pgm,
+    _trapping_discs,
 )
 
 SMALL = RenderSpec(
@@ -45,6 +47,17 @@ def _exp_spec(a, max_iter=20, size=24, **kw):
     return RenderSpec(
         map_kind="exponential", a=a, width=size, height=size, max_iter=max_iter, **kw
     )
+
+
+def _around(c, half):
+    return (c.real - half, c.real + half, c.imag - half, c.imag + half)
+
+
+# Centres of the largest trapping discs: the attracting fixed point of a = -2
+# and the cycle point of 5+3.14i that is not a itself.
+C_MINUS_2 = complex(-1.8414056604369606)
+C_5_314 = complex(-143.41297087425414, 3.3763706506897426)
+FIGURE_PARAMS = (-2 + 0j, 5 + 3.14j, 2.06 + 1.57j, 1.004 + 2.9j)
 
 
 # Scalar/grid differential: SMALL, 24x24 grids of the four figure parameters
@@ -94,6 +107,41 @@ DIFFERENTIAL_SPECS = {
     "subnormal-bailout-zero": _exp_spec(
         -1, max_iter=20, viewport=(-1.0, 1.0, -1.0, 1.0), size=1, bailout=1e-320
     ),
+    # Trapping discs.  Seeds straddling the edge of the largest disc (radius
+    # 2.5e-7) of the 2-cycle of 5+3.14i: at max_iter = p those inside retire
+    # at step 0; at max_iter < p there are no discs.
+    **{
+        f"disc-seeds-iter-{max_iter}": _exp_spec(
+            5 + 3.14j, max_iter=max_iter, size=12, viewport=_around(C_5_314, 4e-7)
+        )
+        for max_iter in (1, 2)
+    },
+    # the same about the fixed point of a = -2, at max_iter = p and deeper
+    **{
+        f"disc-fixed-point-iter-{max_iter}": _exp_spec(
+            -2, max_iter=max_iter, size=12, viewport=_around(C_MINUS_2, 4e-7)
+        )
+        for max_iter in (1, 60)
+    },
+    # seeds 2*pi*i above the fixed point land in its disc at step 1 > max_iter
+    # - p: they stay NonEscapingBounded (|z_1 - z_0| = 2*pi), not Basin
+    "disc-preimage-iter-1": _exp_spec(
+        -2, max_iter=1, size=12, viewport=_around(C_MINUS_2 + 2j * math.pi, 1e-6)
+    ),
+    # a uniform disc radius retires pixels here that stay NonEscapingBounded
+    **{
+        f"a=1.004+2.9i-iter200-bailout-{bailout:g}": _exp_spec(
+            1.004 + 2.9j, max_iter=200, bailout=bailout
+        )
+        for bailout in (1e10, 1e15)
+    },
+    # the fixed point -1.8414 of a = -2 is past a bailout of 1: no discs, and
+    # seeds about it exit at step 0
+    "disc-past-bailout": _exp_spec(
+        -2, max_iter=60, size=12, bailout=1.0, viewport=_around(C_MINUS_2, 4e-7)
+    ),
+    # parabolic: no discs
+    "parabolic": _exp_spec(-1, max_iter=60),
 }
 
 
@@ -198,6 +246,57 @@ class TestClassificationColors:
                     TAG_NAMES[tags[i, j]],
                     exits[i, j] if tags[i, j] == TAG_SLOW else None,
                 ), (i, j, z)
+
+
+class TestTrappingDiscs:
+    @pytest.mark.parametrize("a", FIGURE_PARAMS)
+    def test_every_figure_parameter_has_discs(self, a):
+        cycle, radii = _trapping_discs(a, 60, 1e10)
+        assert len(cycle) == {-2: 1, 5 + 3.14j: 2, 2.06 + 1.57j: 3, 1.004 + 2.9j: 26}[a]
+        assert 2 * max(radii) < CYCLE_DETECT_TOL
+
+    def test_largest_discs_are_the_documented_centres(self):
+        for a, centre in ((-2 + 0j, C_MINUS_2), (5 + 3.14j, C_5_314)):
+            cycle, radii = _trapping_discs(a, 60, 1e10)
+            assert cycle[int(np.argmax(radii))] == centre
+
+    @pytest.mark.parametrize(
+        "a, depth, bailout",
+        [
+            (5 + 3.14j, 1, 1e10),  # max_iter < p = 2
+            (1.004 + 2.9j, 25, 1e10),  # max_iter < p = 26
+            (-2 + 0j, 60, 1.0),  # the fixed point -1.8414 is past the bailout
+            (5 + 3.14j, 60, 100.0),  # |c_1| = 143.45 is past the bailout
+            (-1 + 0j, 60, 1e10),  # ParabolicSuspect
+            (0.3 + 0j, 60, 1e10),  # SingularValueEscapes
+        ],
+        ids=["iter<p", "iter<p-26", "bailout-1", "bailout-100", "parabolic", "escapes"],
+    )
+    def test_no_discs(self, a, depth, bailout):
+        assert _trapping_discs(a, depth, bailout) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(FIGURE_PARAMS),
+        st.data(),
+        st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)),
+            min_size=1, max_size=16,
+        ),
+    )
+    def test_float_orbits_stay_in_their_discs(self, a, data, polar):
+        # Points up to the edge of D_i, stepped as the kernel steps them, stay
+        # in D_{i+1 mod p}: the radii carry the rounding of np.exp(w) + a.
+        cycle, radii = _trapping_discs(a, 60, 1e10)
+        p = len(cycle)
+        i = data.draw(st.integers(0, p - 1))
+        c, rho = cycle[i], radii[i]
+        w = np.array([c + rho * r * cmath.exp(1j * t) for r, t in polar + [(1.0, 0.0)]])
+        w = w[np.abs(w - c) <= rho]
+        for n in range(1, 201):
+            w = np.exp(w) + a
+            j = (i + n) % p
+            assert np.all(np.abs(w - cycle[j]) <= radii[j]), (n, j)
 
 
 class TestEscapeCountColoring:

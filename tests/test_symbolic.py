@@ -29,6 +29,8 @@ P2 = Params(a=-2 + 0j)
 REPELLING_FP = 1.1461932206205827
 STRIP1_FP = complex(2.1310754576665873, 7.341435092197778)
 
+NON_FINITE_ANCHORS = [math.nan, math.inf, complex(10.0, -math.inf), complex(math.nan, 0.0)]
+
 
 class TestExternalAddress:
     def test_parse_and_str_round_trip(self):
@@ -121,6 +123,12 @@ class TestTraceHair:
         with pytest.raises(ValueError):
             trace_hair(P2, ExternalAddress((), (0,)), depth=0)
 
+    @pytest.mark.parametrize("anchor", NON_FINITE_ANCHORS)
+    def test_non_finite_anchor_rejected(self, anchor):
+        # Otherwise a NaN anchor comes back as a NaN point with converged=True.
+        with pytest.raises(ValueError, match="finite"):
+            trace_hair(P2, ExternalAddress((), (0,)), 3, anchor=anchor)
+
 
 class TestEndpointEstimate:
     def test_zero_address_lands_on_repelling_fixed_point(self):
@@ -139,6 +147,11 @@ class TestEndpointEstimate:
             endpoint_estimate(P2, s, tol=1e-13)
         with pytest.raises(ValueError):
             endpoint_estimate(P2, s, max_depth=1)
+
+    @pytest.mark.parametrize("anchor", NON_FINITE_ANCHORS)
+    def test_non_finite_anchor_rejected(self, anchor):
+        with pytest.raises(ValueError, match="finite"):
+            endpoint_estimate(P2, ExternalAddress((0, 1), (0,)), anchor=anchor)
 
 
 def _fresh_pullback(p, s, depth, anchor):
