@@ -247,7 +247,11 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     z = (xs[None, :] + 1j * ys[:, None]).reshape(-1)
     npix = z.size
     tail_from = max(0, depth - 32)  # basin detection reads steps tail_from .. total
-    tail = np.full((total + 1 - tail_from, npix), np.nan, dtype=np.complex128)
+    # One array per tail row, each as wide as a step temporary: once freed
+    # into the malloc heap, a single tail-sized block can be split by later
+    # allocations, and the next block's tail then takes a second region
+    # (about 20 MB more peak RSS in some fork workers, by allocation order).
+    tail = [np.full(npix, np.nan, dtype=np.complex128) for _ in range(total + 1 - tail_from)]
 
     discs = _trapping_discs(a, depth, spec.bailout)
     last_retire = -1  # retire into the largest disc D_k at steps n <= last_retire
@@ -289,7 +293,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                     )
                     nd -= m
             if n >= tail_from:
-                tail[n - tail_from, pixel[:nd]] = z
+                tail[n - tail_from][pixel[:nd]] = z
             if n <= depth:
                 lvc = np.minimum(lv, first.size - 1)
                 count = first[lvc]  # c(n)
