@@ -6,10 +6,11 @@ same rules as :func:`expbouquet.classify.classify_point` (respectively
 in vectorized form, in one forward pass that keeps no per-step history:
 magnitude towers are (level, mantissa) arrays under the array tower ops
 of :mod:`expbouquet.towerfloat`.  Each kernel iterates only the pixels
-that still need a step: the exponential kernel keeps a direct set (points
-evaluated with ``exp``) and a growth-model set (towers advanced with
-``exp_plus``) and retires direct pixels trapped near an attracting cycle
-as ``Basin`` (:func:`_trapping_discs`), the drift kernel a live set that
+that still need a step: the exponential kernel keeps one direct set
+(points evaluated with ``exp``) that a pixel leaves on the scalar track's
+switch rules, its fast-escape offset settled then from a few ``exp_plus``
+towers, or when it is trapped near an attracting cycle and retired as
+``Basin`` (:func:`_trapping_discs`); the drift kernel keeps a live set that
 pixels leave on underflow or certified escape.  The grid is cut into fixed
 horizontal blocks that are pure functions of the render description, so
 output bytes are identical across runs, worker counts and scheduling orders.
@@ -159,7 +160,8 @@ def _trapping_discs(
     which radii this small can because ``prod e^{Re c_i} = |lambda| < 1``.
 
     None unless it closes, ``p <= min(32, depth)``, ``2 max r_i <
-    CYCLE_DETECT_TOL``, ``sum(Re c_i + r_i) + 4(p + 1)u(sum(|Re c_i| + r_i)
+    CYCLE_DETECT_TOL`` (checked as the chain is built, so no radius past it
+    reaches ``expm1``), ``sum(Re c_i + r_i) + 4(p + 1)u(sum(|Re c_i| + r_i)
     + 1) < ATTRACT_CUT`` (a float sum of ``p`` terms errs by at most
     ``gamma_p`` times their absolute sum; Higham, *Accuracy and Stability of
     Numerical Algorithms*, section 4.2), and no disc point leaves the
@@ -174,6 +176,8 @@ def _trapping_discs(
     radii = [0.25 * CYCLE_DETECT_TOL / max(accumulate(grow[:-1], operator.mul, initial=1.0))]
     for i, c in enumerate(cycle):
         r, c_next = radii[i] * _WIDEN, cycle[(i + 1) % p]
+        if 2.0 * r >= CYCLE_DETECT_TOL:  # also keeps expm1(r) and exp(Re c + r) finite
+            return None
         eps = 16.0 * _UNIT_ROUNDOFF * (math.exp(c.real + r) + abs(a) + abs(c_next) + 1.0)
         miss = abs(cmath.exp(c) + a - c_next)
         radii.append((grow[i] * math.expm1(r) + miss + 2.0 * eps) * _WIDEN)
@@ -182,7 +186,6 @@ def _trapping_discs(
     size = sum(abs(c.real) + r for c, r in zip(cycle, wide))
     if (
         radii[p] <= radii[0]
-        and 2.0 * max(wide) < CYCLE_DETECT_TOL
         and window + 4.0 * (p + 1) * _UNIT_ROUNDOFF * (size + 1.0) < ATTRACT_CUT
         and all(
             (abs(c) + r) * _WIDEN < min(bailout, MAG_GUARD) and c.real + r <= RE_OVERFLOW
@@ -198,31 +201,43 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
 
     Returns (tags, exits) with shape (rows, width); exit is -1 where the
     orbit never crossed the bailout within ``max_iter`` steps.  One forward
-    pass keeps two pixel sets.  The direct set carries the current point,
-    its modulus and the tower of that modulus; the growth-model set carries
-    the tower alone, which ``exp_plus_array`` advances.  A pixel moves to
-    the model set on the scalar track's switch rules and never back, so
-    each step evaluates ``exp`` only on direct pixels and ``exp_plus`` only
-    on model pixels.  Its exit step, the rule of
-    :func:`expbouquet.classify.classify_point`, is written once, at the
-    switch: the step itself if ``|z|`` is past the bailout, else the first
-    model step, and -1 past ``max_iter``.  Every pixel keeps a running
-    fast-escape offset bound; the direct set writes its points into the
-    orbit rows basin detection reads, where model pixels stay NaN.
+    pass keeps one pixel set, the direct set: per pixel its raster index,
+    point ``z`` (evaluated with ``exp``), ``|z|`` and running fast-escape
+    offset bound.  A pixel leaves it on the scalar track's switch rules and
+    never comes back.  Its exit step, the rule of
+    :func:`expbouquet.classify.classify_point`, is written then: the step
+    itself if ``|z|`` is past the bailout, else the next (first
+    growth-model) step, and -1 past ``max_iter``.  The set writes its
+    points into the orbit rows basin detection reads; a pixel that has
+    left stays NaN there.
 
-    That bound is the one :func:`expbouquet.classify._fast_offset` keeps
-    (its docstring has the argument), over the same table
+    The offset bound is the one :func:`expbouquet.classify._fast_offset`
+    keeps (its docstring has the argument), over the same table
     :func:`expbouquet.classify._domination_table`: the running maximum of
-    ``k + 1 - c(k)``, where ``c(k)`` counts the entries ``<= T_k``.  The
-    pixel is fast iff that bound (at least 0) is ``<= max_iter - 3``.
+    ``k + 1 - c(k)``, where ``c(k)`` counts the entries ``<= T_k``, the
+    tower of ``|z_k|``.  The pixel is fast iff that bound (at least 0) is
+    ``<= max_iter - 3``.  In the set ``|z_k| < 1e15``, so
+    ``T_k = (0, |z_k|)`` and ``c(k)`` is a search over the ``n0`` level-0
+    entries.  A pixel that leaves at ``n <= max_iter`` gets ``T_n`` from
+    ``from_real_array``, then growth-model towers from ``exp_plus_array``
+    (from ``(0, Re z_n)``, so ``(1, Re z_n)``, if ``Re z_n`` alone made it
+    leave), counted until ``c(k) > n0`` or ``k = max_iter``; its offset is
+    then final.  Once ``c(k) > n0``, ``T_k >= M^{c-1}`` and both are at
+    level ``>= 1``, where ``exp_plus`` is the exact shift
+    ``(L, m) -> (L + 1, m)`` and
+    :func:`expbouquet.expmap.max_modulus_iterates` builds the next entry by
+    the same shift.  So ``T_{k+1} >= M^c`` and ``c(k + 1) >= c(k) + 1`` (or
+    ``c`` is the whole table, and later bounds are at most 0), and
+    ``k + 1 - c(k)`` never rises again.  The argument is exact: it has no
+    rounding term.
 
-    With :func:`_trapping_discs` around an attracting ``p``-cycle, a direct
+    With :func:`_trapping_discs` around an attracting ``p``-cycle, a
     pixel whose ``z_n`` lies in the largest disc ``D_k`` at a step
-    ``n <= max_iter - p`` is retired: cut from every set, tagged ``Basin``
+    ``n <= max_iter - p`` is retired: cut from the set, tagged ``Basin``
     with exit -1, skipped by basin detection.  A trapped orbit visits
     ``D_k`` every ``p`` steps, so it retires at most ``p - 1`` steps late.
     The bytes are those of the full pass: every later float point stays in
-    the disc of its cycle index, so the pixel never switches (no exit), and
+    the disc of its cycle index, so the pixel never leaves (no exit), and
     the ``q = p`` test passes at ``max_iter`` and ``max_iter + 10``: the
     compared points share a disc, discs are narrower than
     ``CYCLE_DETECT_TOL``, and the window sums below ``ATTRACT_CUT``.  The
@@ -233,15 +248,17 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     depth = spec.max_iter
     total = depth + 10
 
-    # M^0(R) .. M^depth(R) by level: first[L] entries lie below level L and
-    # thresholds[j, L] is the j-th mantissa at L (inf past the last; the
-    # last column stands for every higher level).
+    # M^0(R) .. M^depth(R) as keys level + i*mantissa: NumPy orders complex
+    # numbers lexicographically, as towers are ordered, so c(k) is a search.
     towers = _domination_table(a, depth)
-    levels = np.array([t.level for t in towers])
-    first = np.searchsorted(levels, np.arange(levels[-1] + 2))
-    rank = np.arange(levels.size) - first[levels]  # position within its level
-    thresholds = np.full((rank.max() + 1, first.size), np.inf)
-    thresholds[rank, levels] = [t.mantissa for t in towers]
+    keys = np.array([complex(t.level, t.mantissa) for t in towers])
+    n0 = sum(t.level == 0 for t in towers)
+    ground = keys.imag[:n0]
+
+    def count(level: np.ndarray, mantissa: np.ndarray) -> np.ndarray:
+        key = level.astype(np.complex128)
+        key.imag = mantissa
+        return np.searchsorted(keys, key, side="right")
 
     xs, ys = _pixel_centers(spec, y_start, y_stop)
     z = (xs[None, :] + 1j * ys[:, None]).reshape(-1)
@@ -256,98 +273,78 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     discs = _trapping_discs(a, depth, spec.bailout)
     last_retire = -1  # retire into the largest disc D_k at steps n <= last_retire
     if discs is not None:
-        k = int(np.argmax(discs[1]))
-        ck, rk, mk = discs[0][k], discs[1][k], abs(discs[0][k])
+        i = int(np.argmax(discs[1]))
+        ck, rk, mk = discs[0][i], discs[1][i], abs(discs[0][i])
         last_retire = depth - len(discs[0])
 
-    # Per-pixel state in set order: positions [0, nd) hold the direct set,
-    # whose points are z (and moduli az), and [nd, len(pixel)) the model
-    # set; pixel[i] is the raster index of position i.  Retired pixels are
-    # cut off the front of every state array.  Exits are in raster order.
+    # The direct set in set order: pixel[i] is the raster index of position
+    # i, whose point is z[i].  Tags and exits are in raster order.
     pixel = np.arange(npix)
-    exits = np.full(npix, -1, dtype=np.int64)
-    retired = np.zeros(npix, dtype=bool)
     offset = np.zeros(npix, dtype=np.int64)  # least admissible fast-escape offset
-    nd = npix
+    exits = np.full(npix, -1, dtype=np.int64)
+    tags = np.full(npix, TAG_BOUNDED, dtype=np.uint8)
 
     with np.errstate(all="ignore"):
         az = np.abs(z)
-        lv, mt = from_real_array(np.maximum(az, _TINY))
-        for n in range(total + 1):
+        for n in range(total):
+            # Switch rules, in the same priority order as the scalar track:
+            # magnitude past the bailout (or the tower guard) first, then
+            # real part past the direct-exp range.
+            past = az > spec.bailout
+            guard = past | (az >= MAG_GUARD)
+            reov = ~guard & (z.real > RE_OVERFLOW)
+            gone = guard | reov
+            if n <= depth and gone.any():
+                out = np.flatnonzero(gone)
+                step = np.where(past[out], n, n + 1)
+                esc = step <= depth  # false only at n = depth, for leavers not past
+                out, step = out[esc], step[esc]
+                lv, mt = from_real_array(np.maximum(az[out], _TINY))
+                c = count(lv, mt)
+                ell = np.maximum(offset[out], n + 1 - c)
+                # log-magnitude of the unrepresentable exp(z) is exactly Re z
+                mt = np.where(reov[out], z.real[out], mt)
+                live = np.arange(out.size)  # leavers whose bound may still rise
+                for k in range(n + 1, depth + 1):
+                    more = c <= n0
+                    live, lv, mt = live[more], lv[more], mt[more]
+                    if not live.size:
+                        break
+                    lv, mt = exp_plus_array(lv, mt, abs(a))
+                    c = count(lv, mt)
+                    ell[live] = np.maximum(ell[live], k + 1 - c)
+                exits[pixel[out]] = step
+                tags[pixel[out]] = np.where(ell <= depth - 3, TAG_FAST, TAG_SLOW)
             if n <= last_retire:
                 # |z - c_k| >= ||z| - |c_k||: the complex distance runs on
                 # the pixels the moduli leave in reach only.
                 near = np.flatnonzero(np.abs(az - mk) <= rk)
                 near = near[np.abs(z[near] - ck) <= rk]
-                m = near.size
-                if m:
-                    retired[pixel[near]] = True
-                    # Staying pixels among the first m move into the slots
-                    # of retirees past them; then the first m are cut off.
-                    stay = np.flatnonzero(~np.isin(np.arange(m), near))
-                    into = near[near >= m]
-                    for state in (pixel, offset, lv, mt, z, az):
-                        state[into] = state[stay]
-                    pixel, offset, lv, mt, z, az = (
-                        state[m:] for state in (pixel, offset, lv, mt, z, az)
-                    )
-                    nd -= m
-            if n >= tail_from:
-                tail[n - tail_from][pixel[:nd]] = z
+                tags[pixel[near]] = TAG_BASIN
+                gone[near] = True
+            m = int(np.count_nonzero(gone))
+            if m:
+                # Staying pixels among the first m move into the slots of
+                # the pixels gone past them; then the first m are cut off.
+                into = m + np.flatnonzero(gone[m:])
+                stay = np.flatnonzero(~gone[:m])
+                for state in (pixel, offset, z, az):
+                    state[into] = state[stay]
+                pixel, offset, z, az = pixel[m:], offset[m:], z[m:], az[m:]
             if n <= depth:
-                lvc = np.minimum(lv, first.size - 1)
-                count = first[lvc]  # c(n)
-                for row in thresholds:
-                    count = count + (row[lvc] <= mt)
-                offset = np.maximum(offset, n + 1 - count)
-            if n == total:
-                break
-
-            # Switch rules, in the same priority order as the scalar track:
-            # magnitude past the bailout (or the tower guard) first, then
-            # real part past the direct-exp range.  Leavers swap places with
-            # the last staying direct pixels: the model set grows to
-            # [nd, len(pixel)) and no state is copied beyond the swapped entries.
-            past = az > spec.bailout
-            guard = past | (az >= MAG_GUARD)
-            reov = ~guard & (z.real > RE_OVERFLOW)
-            leave = guard | reov
-            if leave.any():
-                if n <= depth:
-                    step = np.where(past[leave], n, n + 1)
-                    exits[pixel[:nd][leave]] = np.where(step <= depth, step, -1)
-                # log-magnitude of the unrepresentable exp(z) is exactly Re z:
-                # the model step takes (0, Re z) to (1, Re z)
-                mt[:nd][reov] = z.real[reov]
-                nd -= int(np.count_nonzero(leave))
-                holes = np.flatnonzero(leave[:nd])
-                fill = nd + np.flatnonzero(~leave[nd:])
-                swap, into = np.concatenate([holes, fill]), np.concatenate([fill, holes])
-                for state in (pixel, offset, lv, mt, z):
-                    state[swap] = state[into]
-            z = np.exp(z[:nd]) + a
+                c = np.searchsorted(ground, az, side="right")  # T_n = (0, |z_n|)
+                np.maximum(offset, n + 1 - c, out=offset)
+            if n >= tail_from:
+                tail[n - tail_from][pixel] = z
+            z = np.exp(z) + a
             az = np.abs(z)
-            if n >= depth:
-                continue  # towers only feed the verdicts, which stop at depth
+        tail[-1][pixel] = z
 
-            lv[nd:], mt[nd:] = exp_plus_array(lv[nd:], mt[nd:], abs(a))
-            lv[:nd], mt[:nd] = from_real_array(np.maximum(az, _TINY))
-
-        offset_at = np.zeros(npix, dtype=np.int64)  # set order -> raster order
-        offset_at[pixel] = offset
-        escaped = exits >= 0
-        tags = np.full(npix, TAG_BOUNDED, dtype=np.uint8)
-        tags[escaped] = np.where(offset_at[escaped] <= depth - 3, TAG_FAST, TAG_SLOW)
-        tags[retired] = TAG_BASIN
-
-        bounded = ~escaped & ~retired  # basin detection on the other bounded pixels
-        if bounded.any():
+        if (tags == TAG_BOUNDED).any():  # basin detection on the other bounded pixels
             z_depth, z_total = tail[depth - tail_from], tail[-1]
-            assigned = np.zeros(npix, dtype=bool)
             for q in range(1, min(32, depth) + 1):
                 close = (
-                    bounded
-                    & ~assigned
+                    (tags == TAG_BOUNDED)
                     & (np.abs(z_depth - tail[depth - tail_from - q]) < CYCLE_DETECT_TOL)
                     & (np.abs(z_total - tail[-1 - q]) < CYCLE_DETECT_TOL)
                 )
@@ -358,9 +355,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                 acc = tail[-1 - q].real.copy()
                 for row in tail[-q:-1]:
                     acc = acc + row.real
-                close &= acc < ATTRACT_CUT
-                tags[close] = TAG_BASIN
-                assigned |= close
+                tags[close & (acc < ATTRACT_CUT)] = TAG_BASIN
 
     return tags.reshape(-1, spec.width), exits.reshape(-1, spec.width)
 

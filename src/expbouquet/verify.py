@@ -30,7 +30,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .classify import FastEscaping, classify_point, find_cycle
 from .expmap import Params, eval_map, max_modulus
 from .fatoufn import fatou_classify, fatou_eval, semiconj_residual
-from .render import TAG_NAMES, RenderSpec, classify_grid, escape_fraction, render
+from .render import (
+    TAG_NAMES,
+    RenderSpec,
+    classify_grid,
+    default_viewport,
+    escape_fraction,
+    render,
+)
 from .symbolic import (
     ExternalAddress,
     SeparationConfig,
@@ -461,8 +468,11 @@ def suite_figures(threads: int | None = None) -> list[Check]:
 # ---------------------------------------------------------------------------
 # differential: the rasterizer against the scalar classifiers, pixel by pixel
 
-#: 48x48 grids on the default viewports: seven parameters of the exponential
-#: map and the drift map, each at three depths.
+#: 48x48 grids: seven parameters of the exponential map and the drift map
+#: on their default viewports, each at three depths, then edge grids at the
+#: track's branch boundaries: seeds on both sides of ``Re z = 700``, first
+#: iterates on both sides of it (``e^z - 2 = 700`` at ``z = ln 702``), a
+#: bailout below ``R`` (towers take several steps to settle) and ``1e15``.
 DIFFERENTIAL_GRIDS = tuple(
     RenderSpec(map_kind=kind, a=a, width=48, height=48, max_iter=depth)
     for kind, params in (
@@ -471,7 +481,26 @@ DIFFERENTIAL_GRIDS = tuple(
     )
     for a in params
     for depth in (20, 60, 200)
+) + tuple(
+    RenderSpec("exponential", a=a, viewport=viewport, width=48, height=48, bailout=bailout)
+    for a, viewport, bailout in (
+        (-2, (690.0, 710.0, -5.0, 5.0), 1e10),
+        (-2, (math.log(702) - 0.02, math.log(702) + 0.02, -0.02, 0.02), 1e15),
+        (-2, None, 0.5),
+        (1.004 + 2.9j, None, 1e15),
+    )
 )
+
+
+def differential_name(spec: RenderSpec) -> str:
+    """Row name of a grid: map or parameter, depth, and any non-default bailout or viewport."""
+    where = f"a={_fmt_complex(spec.a)}," if spec.map_kind == "exponential" else "fatou,"
+    name = f"differential[{where}iter={spec.max_iter}"
+    if spec.bailout != RenderSpec.bailout:
+        name += f",bailout={spec.bailout:g}"
+    if spec.viewport != default_viewport(spec.map_kind, spec.a):
+        name += ",viewport=" + ":".join(f"{v:g}" for v in spec.viewport)
+    return name + "]"
 
 
 def differential_row(spec: RenderSpec) -> Check:
@@ -500,9 +529,8 @@ def differential_row(spec: RenderSpec) -> Check:
         )
         if type(got).__name__ != TAG_NAMES[tag] or not exit_ok:
             bad.append(f"({i},{j}) grid {TAG_NAMES[tag]} exit {exits[i, j]}, scalar {got}")
-    where = f"a={_fmt_complex(spec.a)}," if spec.map_kind == "exponential" else "fatou,"
     detail = f"{len(bad)} of {tags.size} pixels disagree" + (f"; first {bad[0]}" if bad else "")
-    return (f"differential[{where}iter={spec.max_iter}]", not bad, detail)
+    return (differential_name(spec), not bad, detail)
 
 
 def suite_differential() -> list[Check]:

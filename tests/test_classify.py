@@ -399,6 +399,32 @@ class TestFastOffset:
             classify_grid(spec, workers=1)
 
 
+class TestDominationTable:
+    """Past level 0 each entry is the exact shift of the one before it.
+
+    The render kernel settles a leaving pixel's offset on this premise.
+    """
+
+    @staticmethod
+    def _assert_shifts(a, depth):
+        table = classify._domination_table(complex(a), depth)
+        for prev, entry in zip(table, table[1:]):
+            if prev.level >= 1:
+                assert entry == TowerReal(prev.level + 1, prev.mantissa), (a, depth)
+
+    @pytest.mark.parametrize("a", [-2, 5 + 3.14j, 2.06 + 1.57j, 1.004 + 2.9j])
+    def test_figure_parameters(self, a):
+        self._assert_shifts(a, 200)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.builds(complex, st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+        st.integers(1, 200),
+    )
+    def test_any_parameter(self, a, depth):
+        self._assert_shifts(a, depth)
+
+
 class TestFindCycle:
     def test_refines_attracting_fixed_point(self):
         cycle, mult = find_cycle(P2, -1.8 + 0j, 1)

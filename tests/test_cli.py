@@ -449,6 +449,11 @@ class TestVerifyCommand:
         assert code == 0
         assert out == "differential[a=-2+0i,iter=60]: ok (0 of 64 pixels disagree)\n"
 
+    def test_differential_row_names_are_unique(self):
+        names = [verify.differential_name(spec) for spec in verify.DIFFERENTIAL_GRIDS]
+        assert len(set(names)) == len(names)
+        assert "differential[a=-2+0i,iter=60,bailout=0.5]" in names
+
     def test_differential_suite_fails_on_a_wrong_pixel(self, capsys, monkeypatch):
         tags, exits = raster.classify_grid(SMALL_DIFFERENTIAL, workers=1)
         tags[3, 2] = raster.TAG_UNDECIDED

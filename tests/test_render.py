@@ -2,6 +2,7 @@
 
 import cmath
 import hashlib
+import importlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -32,6 +33,10 @@ from expbouquet.render import (
     write_pgm,
     _trapping_discs,
 )
+from expbouquet.towerfloat import exp_plus_array
+
+# the module (the package attribute ``expbouquet.render`` is the function)
+raster = importlib.import_module("expbouquet.render")
 
 SMALL = RenderSpec(
     map_kind="exponential",
@@ -57,6 +62,9 @@ def _around(c, half):
 # and the cycle point of 5+3.14i that is not a itself.
 C_MINUS_2 = complex(-1.8414056604369606)
 C_5_314 = complex(-143.41297087425414, 3.3763706506897426)
+# A cycle point two steps after a, for a 5-cycle that also visits -3.7e13+8.6e13i.
+A_FAR_LEFT = complex(4.082025805900676, -4.651131102089052)
+C_FAR_LEFT = complex(3.362369758871525, -6.051336572262661)
 FIGURE_PARAMS = (-2 + 0j, 5 + 3.14j, 2.06 + 1.57j, 1.004 + 2.9j)
 
 
@@ -142,7 +150,43 @@ DIFFERENTIAL_SPECS = {
     ),
     # parabolic: no discs
     "parabolic": _exp_spec(-1, max_iter=60),
+    # an attracting 5-cycle with a point at Re c = -3.7e13: its disc radii
+    # grow past the range of expm1, so there are no discs; at a 1e15
+    # bailout half the seeds about c_2 are Basin
+    "cycle-far-left": _exp_spec(
+        A_FAR_LEFT, max_iter=60, size=12, bailout=1e15, viewport=_around(C_FAR_LEFT, 0.1)
+    ),
 }
+
+
+def _random_specs(count):
+    """Seeded random grids of at most 12x12 for the scalar/grid differential.
+
+    Parameters in [-6, 6]^2, bailouts log-uniform in [1e-3, 1e15], short and
+    figure depths; a quarter of the viewports straddle Re z = 700.
+    """
+    rng = np.random.default_rng(0)
+    specs = {}
+    for i in range(count):
+        if i % 4 == 3:
+            half = 10 ** rng.uniform(-2, 1.5)
+            x0, y0 = 700.0 - half * rng.uniform(0.1, 1.9), rng.uniform(-4, 4)
+        else:
+            half = 10 ** rng.uniform(-3, 1)
+            x0, y0 = rng.uniform(-8, 12, size=2)
+        specs[f"random-{i}"] = RenderSpec(
+            map_kind="exponential",
+            a=complex(*rng.uniform(-6, 6, size=2)),
+            viewport=(x0, x0 + 2 * half, y0, y0 + 2 * half),
+            width=int(rng.integers(1, 13)),
+            height=int(rng.integers(1, 13)),
+            max_iter=int(rng.choice([1, 2, 3, 5, 20, 60])),
+            bailout=float(10 ** rng.uniform(-3, 15)),
+        )
+    return specs
+
+
+RANDOM_SPECS = _random_specs(40)
 
 
 def _scalar_verdict(p, z, depth, bailout):
@@ -231,7 +275,11 @@ class TestClassificationColors:
         want = np.array([colors[t] for t in tags.ravel()], dtype=np.uint8)
         assert np.array_equal(img, want)
 
-    @pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS.values(), ids=DIFFERENTIAL_SPECS.keys())
+    @pytest.mark.parametrize(
+        "spec",
+        [*DIFFERENTIAL_SPECS.values(), *RANDOM_SPECS.values()],
+        ids=[*DIFFERENTIAL_SPECS, *RANDOM_SPECS],
+    )
     def test_matches_scalar_classifier(self, spec):
         p = Params(a=spec.a)
         tags, exits = classify_grid(spec, workers=1)
@@ -269,8 +317,15 @@ class TestTrappingDiscs:
             (5 + 3.14j, 60, 100.0),  # |c_1| = 143.45 is past the bailout
             (-1 + 0j, 60, 1e10),  # ParabolicSuspect
             (0.3 + 0j, 60, 1e10),  # SingularValueEscapes
+            # 5-cycles with a point far left of the imaginary axis: the radius
+            # chain grows past the range of expm1 before it could close
+            (A_FAR_LEFT, 60, 1e10),
+            (3.099670344045821 - 1.6825568820886776j, 60, 1e10),
         ],
-        ids=["iter<p", "iter<p-26", "bailout-1", "bailout-100", "parabolic", "escapes"],
+        ids=[
+            "iter<p", "iter<p-26", "bailout-1", "bailout-100", "parabolic", "escapes",
+            "far-left-cycle", "far-left-cycle-2",
+        ],
     )
     def test_no_discs(self, a, depth, bailout):
         assert _trapping_discs(a, depth, bailout) is None
@@ -385,6 +440,30 @@ class TestKernelMemory:
         all_escaping = (701.0, 709.0, -1.0, 1.0)  # every seed leaves at step 0
         all_basin = (-10.0, -8.0, -1.0, 1.0)
         assert peak(all_escaping) <= 1.5 * peak(all_basin)
+
+
+class TestKernelWork:
+    @pytest.mark.parametrize(
+        "a, bailout",
+        [(-2, 1e10), (5 + 3.14j, 1e10), (-2, 0.5), (0.3, 1e-3)],
+        ids=["a=-2", "a=5+3.14i", "a=-2-bailout-0.5", "a=0.3-bailout-1e-3"],
+    )
+    def test_towers_stop_soon_after_the_exit(self, monkeypatch, a, bailout):
+        # A leaving pixel's offset settles within a few growth-model steps,
+        # so exp_plus_array sees each escaping pixel a few times, not once
+        # per step up to max_iter.
+        sizes = []
+
+        def counting(level, mantissa, c):
+            sizes.append(level.size)
+            return exp_plus_array(level, mantissa, c)
+
+        monkeypatch.setattr(raster, "exp_plus_array", counting)
+        spec = _exp_spec(a, max_iter=60, size=64, bailout=bailout)
+        _, exits = classify_grid(spec, workers=1)
+        escaping = int(np.count_nonzero(exits >= 0))
+        assert escaping > 0
+        assert sum(sizes) <= 4 * escaping
 
 
 class TestFatouRendering:
