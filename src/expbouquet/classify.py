@@ -24,12 +24,11 @@ from .expmap import (
     MAG_GUARD,
     RE_OVERFLOW,
     Params,
-    _towers,
     _track,
     eval_map,
     max_modulus_iterates,
 )
-from .towerfloat import TowerReal
+from .towerfloat import exp_plus_array, from_real_array
 
 __all__ = [
     "Basin",
@@ -165,40 +164,77 @@ ParamClass = Union[
 
 
 @lru_cache(maxsize=None)
-def _domination_table(a: complex, depth: int) -> tuple[TowerReal, ...]:
-    """Towers ``M^0(R) .. M^depth(R)`` of iterated maximum modulus at ``R = 3 + 2|a|``.
+def _domination_table(a: complex, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Search keys of ``M^0(R) .. M^depth(R)`` at ``R = 3 + 2|a|``, and their level-0 mantissas.
 
-    The one table of fast-escape verdicts, for :func:`classify_point` and
-    the rasterizer alike.  Raises :class:`RuntimeError` unless it is
-    nondecreasing, which :func:`_fast_offset` relies on; the check runs
-    once per cached table.
+    The one table of fast-escape verdicts.  A tower ``(level, mantissa)``
+    is keyed as ``level + i*mantissa``: NumPy orders complex numbers
+    lexicographically, as towers are ordered, so counting the entries at
+    or below a tower is a search.  Raises :class:`RuntimeError` unless the
+    table is nondecreasing, which :func:`_settle_bound` relies on; the
+    check runs once per cached table.  Both arrays are read-only.
     """
-    table = tuple(max_modulus_iterates(a, Params(a).radius, depth))
+    table = max_modulus_iterates(a, Params(a).radius, depth)
     if any(x > y for x, y in zip(table, table[1:])):
         raise RuntimeError(f"iterated maximum modulus is not monotone for a={a}")
-    return table
+    keys = np.array([complex(t.level, t.mantissa) for t in table])
+    ground = keys.imag[keys.real == 0]
+    keys.flags.writeable = ground.flags.writeable = False
+    return keys, ground
 
 
-def _fast_offset(
-    mags: Sequence[TowerReal], table: Sequence[TowerReal], depth: int
-) -> Optional[int]:
-    """Least ``ell <= depth - 3`` with ``mags[ell + n] >= table[n]`` for every n, or None.
+def _direct_bound(a: complex, depth: int, k: int | np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """Offset bounds ``k + 1 - c(k)`` at direct points ``|z_k| = mag`` (:func:`_settle_bound`)."""
+    return k + 1 - np.searchsorted(_domination_table(a, depth)[1], mag, side="right")
 
-    ``n`` runs up to ``depth - ell``: at least three comparisons.  One pass
-    raises ``ell`` while step ``k`` fails its comparison
-    ``mags[k] >= table[k - ell]``.  The table is nondecreasing, so raising
-    ``ell`` never breaks an earlier comparison: ``table[k - ell]`` does not
-    rise as ``ell`` grows.  Step ``k`` therefore admits exactly the offsets
-    ``ell >= k + 1 - c(k)``, where ``c(k)`` counts the entries
-    ``<= mags[k]``, and the least offset that passes every step is the
-    running maximum of that bound (at least 0).  The rasterizer keeps the
-    same bound per pixel.
+
+def _settle_bound(
+    a: complex, depth: int, bailout: float, n: int, z: np.ndarray, bound: int | np.ndarray
+) -> np.ndarray:
+    """Final offset bounds of orbits whose last direct point is ``z_n = z``, for ``n <= depth``.
+
+    The rule of :func:`classify_point` and the rasterizer alike.  ``T_k``
+    is the tower of ``|z_k|`` and ``c(k)`` counts the entries ``<= T_k`` of
+    :func:`_domination_table`.  An orbit is fast iff the least offset
+    ``ell`` with ``T_{ell + j} >= M^j(R)`` for every ``j <= depth - ell`` is
+    ``<= depth - 3`` (at least three comparisons).  The table is
+    nondecreasing, so step ``k`` admits exactly ``ell >= k + 1 - c(k)``,
+    and the least offset is the running maximum of that bound (at least
+    0).  ``bound`` is that maximum over the steps before ``n``, where the
+    orbit is direct with ``|z_k| < 1e15``: ``T_k = (0, |z_k|)`` and
+    ``c(k)`` is a search over the ``n0`` level-0 entries
+    (:func:`_direct_bound`).  ``T_n`` is ``from_real_array(|z_n|)``; later
+    towers are the growth model of :func:`expbouquet.expmap._towers`,
+    ``exp_plus_array`` with ``|a|``, from ``(0, Re z_n)`` (so ``(1, Re
+    z_n)``, the exact log-magnitude of ``exp(z_n)``) if ``Re z_n > 700``
+    alone made the orbit leave, with ``|z_n| <= bailout`` and ``< 1e15``.
+
+    They are counted until ``c(k) > n0`` or ``k = depth``, and stopping
+    there is exact, with no rounding term.  Once ``c(k) > n0``,
+    ``T_k >= M^{c-1}`` and both are at level ``>= 1``, where ``exp_plus``
+    is the exact shift ``(L, m) -> (L + 1, m)`` and
+    :func:`expbouquet.expmap.max_modulus_iterates` builds the next entry by
+    the same shift.  So ``T_{k+1} >= M^c`` and ``c(k + 1) >= c(k) + 1`` (or
+    ``c`` is the whole table, and later bounds are at most 0): ``k + 1 -
+    c(k)`` never rises again.
     """
-    ell = 0
-    for k, mag in enumerate(mags[: depth + 1]):
-        while ell <= k and mag.cmp(table[k - ell]) < 0:
-            ell += 1
-    return ell if ell <= depth - 3 else None
+    keys, ground = _domination_table(a, depth)
+    az = np.abs(z)
+    level, mantissa = from_real_array(az)
+    c = np.searchsorted(keys, level + 1j * mantissa, side="right")
+    bound = np.maximum(bound, n + 1 - c)
+    alone = (az <= bailout) & (az < MAG_GUARD) & (z.real > RE_OVERFLOW)
+    mantissa = np.where(alone, z.real, mantissa)
+    live = np.arange(z.size)  # orbits whose bound may still rise
+    for k in range(n + 1, depth + 1):
+        more = c <= ground.size
+        live, level, mantissa = live[more], level[more], mantissa[more]
+        if not live.size:
+            break
+        level, mantissa = exp_plus_array(level, mantissa, abs(a))
+        c = np.searchsorted(keys, level + 1j * mantissa, side="right")
+        bound[live] = np.maximum(bound[live], k + 1 - c)
+    return bound
 
 
 def classify_point(
@@ -212,26 +248,28 @@ def classify_point(
     :func:`~expbouquet.expmap.orbit` stops or first reports
     ``"overflowed"``.  Escaped orbits are then tested for tower domination
     over iterated maximum modulus (with at least three tower comparisons)
-    to separate fast escape from plain escape; only they build towers.
-    The offset is :func:`_fast_offset` over :func:`_domination_table`,
-    the rule the rasterizer applies per pixel.  Bounded orbits are matched
-    against cycles of period up to 32, with the verdict re-checked 10
-    iterations past ``depth``.
+    to separate fast escape from plain escape, by :func:`_settle_bound`,
+    the rule the rasterizer applies per pixel.  Bounded orbits build no
+    tower; they are matched against cycles of period up to 32, with the
+    verdict re-checked 10 iterations past ``depth``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not 0.0 < bailout <= MAG_GUARD:
         raise ValueError("bailout must be in (0, 1e15]")
-    if not cmath.isfinite(z):
-        raise ValueError(f"seed must be finite, got {z}")
+    if not math.isfinite(math.hypot(z.real, z.imag)):  # complex abs would overflow
+        raise ValueError(f"seed must be finite with a finite modulus, got {z}")
     zs = _track(p.a, z, depth + 10, bailout)
     exit_step = next(
         (n for n, w in enumerate(zs[: depth + 1]) if w is None or abs(w) > bailout), None
     )
     if exit_step is not None:
-        mags = _towers(p.a, zs[: depth + 1], bailout)
-        ell = _fast_offset(mags, _domination_table(p.a, depth), depth)
-        if ell is not None:
+        # the last direct point: the exit if past the bailout, else the step before
+        n = exit_step if zs[exit_step] is not None else exit_step - 1
+        direct = np.array(zs[: n + 1], dtype=complex)
+        bound = _direct_bound(p.a, depth, np.arange(n), np.abs(direct[:n])).max(initial=0)
+        ell = int(_settle_bound(p.a, depth, bailout, n, direct[n:], bound)[0])
+        if ell <= depth - 3:
             return FastEscaping(offset=ell, verified_depth=depth - ell)
         return EscapingSlow(first_exit_step=exit_step)
     period = _detect_basin_period(zs, depth)

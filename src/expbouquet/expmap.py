@@ -67,7 +67,8 @@ class Params:
 
     def __post_init__(self) -> None:
         a = complex(self.a)
-        r = 3.0 + 2.0 * abs(a)
+        # math.hypot returns inf where complex abs raises OverflowError
+        r = 3.0 + 2.0 * (abs(a) if math.isfinite(math.hypot(a.real, a.imag)) else math.inf)
         if not math.isfinite(r):
             raise ValueError("parameter a must be finite with finite |a|")
         object.__setattr__(self, "a", a)
@@ -131,9 +132,9 @@ def _towers(a: complex, zs: Sequence[complex | None], bailout: float) -> list[To
     takes over, except when the switch was triggered by ``Re z > 700``
     alone (``|z| <= bailout`` and ``|z| < 1e15``): then the first model
     tower is ``log |z_{n+1}| = Re z_n``, since the additive term
-    ``log|1 + a exp(-z)|`` is below 1e-300 there.  A bounded orbit's
-    verdict reads no tower, so ``classify_point`` builds them only for
-    orbits that escape.
+    ``log|1 + a exp(-z)|`` is below 1e-300 there.  Its users,
+    :func:`orbit` and :func:`expbouquet.symbolic.find_domination_index`,
+    read every tower.
     """
     abs_a = abs(a)
     mags: list[TowerReal] = []

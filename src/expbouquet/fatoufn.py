@@ -139,8 +139,8 @@ def fatou_classify(z: complex, depth: int = 100) -> PointClass:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if not cmath.isfinite(z):
-        raise ValueError(f"seed must be finite, got {z}")
+    if not math.isfinite(math.hypot(z.real, z.imag)):  # complex abs would overflow
+        raise ValueError(f"seed must be finite with a finite modulus, got {z}")
     w = complex(z)
     max_abs = abs(w)
     run = 0

@@ -3,13 +3,12 @@
 Each pixel is seeded at its cell center and classified with exactly the
 same rules as :func:`expbouquet.classify.classify_point` (respectively
 :func:`expbouquet.fatoufn.fatou_classify` for the drift map), evaluated
-in vectorized form, in one forward pass that keeps no per-step history:
-magnitude towers are (level, mantissa) arrays under the array tower ops
-of :mod:`expbouquet.towerfloat`.  Each kernel iterates only the pixels
-that still need a step: the exponential kernel keeps one direct set
-(points evaluated with ``exp``) that a pixel leaves on the scalar track's
-switch rules, its fast-escape offset settled then from a few ``exp_plus``
-towers, or when it is trapped near an attracting cycle and retired as
+in vectorized form, in one forward pass that keeps no per-step history.
+Each kernel iterates only the pixels that still need a step: the
+exponential kernel keeps one direct set (points evaluated with ``exp``)
+that a pixel leaves on the scalar track's switch rules, its fast-escape
+offset settled then by the scalar classifier's own offset routine, or
+when it is trapped near an attracting cycle and retired as
 ``Basin`` (:func:`_trapping_discs`); the drift kernel keeps a live set that
 pixels leave on underflow or certified escape.  The grid is cut into fixed
 horizontal blocks that are pure functions of the render description, so
@@ -30,10 +29,9 @@ from itertools import accumulate
 import numpy as np
 
 from .classify import ATTRACT_CUT, CYCLE_DETECT_TOL, Attracting, classify_param
-from .classify import _UNIT_ROUNDOFF, _domination_table
-from .expmap import MAG_GUARD, RE_OVERFLOW, _TINY, Params
+from .classify import _UNIT_ROUNDOFF, _direct_bound, _settle_bound
+from .expmap import MAG_GUARD, RE_OVERFLOW, Params
 from .fatoufn import BOUNDED_BOX, DRIFT_THRESHOLD, DRIFT_WINDOW, _RE_UNDERFLOW
-from .towerfloat import exp_plus_array, from_real_array
 
 __all__ = [
     "RenderSpec",
@@ -59,6 +57,11 @@ TAG_UNDECIDED = 4
 TAG_NAMES = ("FastEscaping", "EscapingSlow", "NonEscapingBounded", "Basin", "Undecided")
 
 _CLASS_COLORS = np.array([0, 96, 192, 255, 128], dtype=np.uint8)
+
+# Widest row of one 300 MB work block: the exponential kernel holds about 1 kB
+# per pixel (the 43-row orbit tail plus per-step temporaries) whatever
+# max_iter is, and a block holds at least one row.
+_MAX_WIDTH = 300_000
 
 # Outward rounding of a trapping disc: a point whose computed distance to the
 # centre is at most rho lies within rho * _WIDEN of it.
@@ -93,12 +96,14 @@ class RenderSpec:
         if self.viewport is None:
             object.__setattr__(self, "viewport", default_viewport(self.map_kind, self.a))
         x0, x1, y0, y1 = self.viewport
-        if not all(map(math.isfinite, (x0, x1, y0, y1, x1 - x0, y1 - y0))):
-            raise ValueError("viewport bounds and extents must be finite")
+        # bounds every seed's modulus (math.hypot is inf where complex abs raises)
+        corner = math.hypot(max(abs(x0), abs(x1)), max(abs(y0), abs(y1)))
+        if not all(map(math.isfinite, (x0, x1, y0, y1, x1 - x0, y1 - y0, corner))):
+            raise ValueError("viewport bounds, extents and corner modulus must be finite")
         if not (x0 < x1 and y0 < y1):
             raise ValueError("viewport must satisfy x_min < x_max, y_min < y_max")
-        if self.width < 1 or self.height < 1 or self.width * self.height > 10**8:
-            raise ValueError("grid must be nonempty with width*height <= 1e8")
+        if not (0 < self.width <= _MAX_WIDTH and 0 < self.height <= 10**8 // self.width):
+            raise ValueError(f"grid must be nonempty, width <= {_MAX_WIDTH}, width*height <= 1e8")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not 0.0 < self.bailout <= MAG_GUARD:
@@ -122,11 +127,9 @@ class ImageGrid:
 def _block_rows(spec: RenderSpec) -> int:
     """Rows per work block: fixed by the render description alone (never by worker count).
 
-    The exponential kernel holds about 1 kB per pixel (the 43-row orbit
-    tail plus per-step temporaries) whatever ``max_iter`` is, so its 300 MB
-    budget is split by the width alone.
+    The 300 MB budget is split by the width alone (see ``_MAX_WIDTH``).
     """
-    return int(max(1, min(64, 3 * 10**8 // (spec.width * 1000))))
+    return min(64, _MAX_WIDTH // spec.width)
 
 
 def _pixel_centers(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -211,25 +214,12 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     points into the orbit rows basin detection reads; a pixel that has
     left stays NaN there.
 
-    The offset bound is the one :func:`expbouquet.classify._fast_offset`
-    keeps (its docstring has the argument), over the same table
-    :func:`expbouquet.classify._domination_table`: the running maximum of
-    ``k + 1 - c(k)``, where ``c(k)`` counts the entries ``<= T_k``, the
-    tower of ``|z_k|``.  The pixel is fast iff that bound (at least 0) is
-    ``<= max_iter - 3``.  In the set ``|z_k| < 1e15``, so
-    ``T_k = (0, |z_k|)`` and ``c(k)`` is a search over the ``n0`` level-0
-    entries.  A pixel that leaves at ``n <= max_iter`` gets ``T_n`` from
-    ``from_real_array``, then growth-model towers from ``exp_plus_array``
-    (from ``(0, Re z_n)``, so ``(1, Re z_n)``, if ``Re z_n`` alone made it
-    leave), counted until ``c(k) > n0`` or ``k = max_iter``; its offset is
-    then final.  Once ``c(k) > n0``, ``T_k >= M^{c-1}`` and both are at
-    level ``>= 1``, where ``exp_plus`` is the exact shift
-    ``(L, m) -> (L + 1, m)`` and
-    :func:`expbouquet.expmap.max_modulus_iterates` builds the next entry by
-    the same shift.  So ``T_{k+1} >= M^c`` and ``c(k + 1) >= c(k) + 1`` (or
-    ``c`` is the whole table, and later bounds are at most 0), and
-    ``k + 1 - c(k)`` never rises again.  The argument is exact: it has no
-    rounding term.
+    The running offset bound is that of
+    :func:`expbouquet.classify.classify_point`, by the same routines: a
+    step in the set adds :func:`expbouquet.classify._direct_bound`, and
+    the pixels that leave at step ``n <= max_iter`` get their final bound
+    from :func:`expbouquet.classify._settle_bound` (its docstring has the
+    argument).  A pixel is fast iff that bound is ``<= max_iter - 3``.
 
     With :func:`_trapping_discs` around an attracting ``p``-cycle, a
     pixel whose ``z_n`` lies in the largest disc ``D_k`` at a step
@@ -247,18 +237,6 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     a = spec.a
     depth = spec.max_iter
     total = depth + 10
-
-    # M^0(R) .. M^depth(R) as keys level + i*mantissa: NumPy orders complex
-    # numbers lexicographically, as towers are ordered, so c(k) is a search.
-    towers = _domination_table(a, depth)
-    keys = np.array([complex(t.level, t.mantissa) for t in towers])
-    n0 = sum(t.level == 0 for t in towers)
-    ground = keys.imag[:n0]
-
-    def count(level: np.ndarray, mantissa: np.ndarray) -> np.ndarray:
-        key = level.astype(np.complex128)
-        key.imag = mantissa
-        return np.searchsorted(keys, key, side="right")
 
     xs, ys = _pixel_centers(spec, y_start, y_stop)
     z = (xs[None, :] + 1j * ys[:, None]).reshape(-1)
@@ -287,32 +265,14 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     with np.errstate(all="ignore"):
         az = np.abs(z)
         for n in range(total):
-            # Switch rules, in the same priority order as the scalar track:
-            # magnitude past the bailout (or the tower guard) first, then
-            # real part past the direct-exp range.
+            # Switch rules of the scalar track: magnitude past the bailout or
+            # the tower guard, or real part past the direct-exp range.
             past = az > spec.bailout
-            guard = past | (az >= MAG_GUARD)
-            reov = ~guard & (z.real > RE_OVERFLOW)
-            gone = guard | reov
+            gone = past | (az >= MAG_GUARD) | (z.real > RE_OVERFLOW)
             if n <= depth and gone.any():
-                out = np.flatnonzero(gone)
+                out = np.flatnonzero(gone if n < depth else past)  # others exit past depth
                 step = np.where(past[out], n, n + 1)
-                esc = step <= depth  # false only at n = depth, for leavers not past
-                out, step = out[esc], step[esc]
-                lv, mt = from_real_array(np.maximum(az[out], _TINY))
-                c = count(lv, mt)
-                ell = np.maximum(offset[out], n + 1 - c)
-                # log-magnitude of the unrepresentable exp(z) is exactly Re z
-                mt = np.where(reov[out], z.real[out], mt)
-                live = np.arange(out.size)  # leavers whose bound may still rise
-                for k in range(n + 1, depth + 1):
-                    more = c <= n0
-                    live, lv, mt = live[more], lv[more], mt[more]
-                    if not live.size:
-                        break
-                    lv, mt = exp_plus_array(lv, mt, abs(a))
-                    c = count(lv, mt)
-                    ell[live] = np.maximum(ell[live], k + 1 - c)
+                ell = _settle_bound(a, depth, spec.bailout, n, z[out], offset[out])
                 exits[pixel[out]] = step
                 tags[pixel[out]] = np.where(ell <= depth - 3, TAG_FAST, TAG_SLOW)
             if n <= last_retire:
@@ -332,8 +292,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                     state[into] = state[stay]
                 pixel, offset, z, az = pixel[m:], offset[m:], z[m:], az[m:]
             if n <= depth:
-                c = np.searchsorted(ground, az, side="right")  # T_n = (0, |z_n|)
-                np.maximum(offset, n + 1 - c, out=offset)
+                np.maximum(offset, _direct_bound(a, depth, n, az), out=offset)
             if n >= tail_from:
                 tail[n - tail_from][pixel] = z
             z = np.exp(z) + a

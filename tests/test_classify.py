@@ -28,9 +28,12 @@ from expbouquet.classify import (
 )
 from expbouquet.expmap import Params, orbit
 from expbouquet.render import RenderSpec, classify_grid
-from expbouquet.towerfloat import LN_H, TowerReal
+from expbouquet.towerfloat import TowerReal
 
 P2 = Params(a=-2 + 0j)
+
+# Finite parts, but complex abs raises OverflowError on it.
+OVERFLOWING_MODULUS = complex(1.5e308, 1.5e308)
 
 # Real fixed points of e^x - 2 = x, pinned by bisection to full precision.
 ATTRACTING_FP = -1.8414056604369606
@@ -101,10 +104,11 @@ class TestClassifyPoint:
 
     @pytest.mark.parametrize(
         "z", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
-              complex(0.0, -math.inf), math.nan]
+              complex(0.0, -math.inf), math.nan, OVERFLOWING_MODULUS]
     )
     def test_non_finite_seed_rejected(self, z):
-        # A NaN seed used to come back NonEscapingBounded(bound=nan).
+        # A NaN seed used to come back NonEscapingBounded(bound=nan); a seed
+        # whose modulus overflows used to raise OverflowError.
         with pytest.raises(ValueError, match="finite"):
             classify_point(P2, z)
 
@@ -216,13 +220,18 @@ def _eager_track(a, z0, steps, bailout):
 
 
 def _classify_point_eager(p, z, depth, bailout):
-    """``classify_point`` over :func:`_eager_track`: the oracle."""
+    """``classify_point`` over :func:`_eager_track` and :func:`_least_offset_by_search`.
+
+    The oracle: it shares no offset code with ``classify_point`` and the
+    render kernel.
+    """
     zs, mags = _eager_track(p.a, z, depth + 10, bailout)
     exit_step = next(
         (n for n, w in enumerate(zs[: depth + 1]) if w is None or abs(w) > bailout), None
     )
     if exit_step is not None:
-        ell = classify._fast_offset(mags, classify._domination_table(p.a, depth), depth)
+        table = expmap.max_modulus_iterates(p.a, p.radius, depth)
+        ell = _least_offset_by_search(mags, table, depth)
         if ell is not None:
             return FastEscaping(offset=ell, verified_depth=depth - ell)
         return EscapingSlow(first_exit_step=exit_step)
@@ -292,18 +301,49 @@ class TestTowersOnlyForEscapedOrbits:
 
     def test_basin_seed_builds_no_tower(self, monkeypatch):
         calls = []
-        from_real = TowerReal.from_real
+        from_real_array = classify.from_real_array
 
         def counting(x):
             calls.append(x)
-            return from_real(x)
+            return from_real_array(x)
 
-        monkeypatch.setattr(TowerReal, "from_real", staticmethod(counting))
+        monkeypatch.setattr(classify, "from_real_array", counting)
         assert classify_point(P2, -2 + 0j) == Basin(period=1)
         assert calls == []
-        # The counter sees the towers of an escaping seed.
+        # The counter sees the tower of an escaping seed.
         classify_point(P2, 10 + 0j)
         assert calls
+
+    @pytest.mark.parametrize("a", [-2, 5 + 3.14j, 2.06 + 1.57j, 1.004 + 2.9j])
+    def test_towers_stop_soon_after_the_exit(self, monkeypatch, a):
+        # The scalar twin of the render kernel's work bound: an escaping
+        # seed's offset settles within a few growth-model steps, not one
+        # step per iterate up to depth.
+        p = Params(a)
+        classify._domination_table(p.a, 100)  # its towers are not the seeds'
+        steps = []
+        exp_plus, exp_plus_array = TowerReal.exp_plus, classify.exp_plus_array
+
+        def counting(t, c):
+            steps.append(1)
+            return exp_plus(t, c)
+
+        def counting_array(level, mantissa, c):
+            steps.append(level.size)
+            return exp_plus_array(level, mantissa, c)
+
+        monkeypatch.setattr(TowerReal, "exp_plus", counting)
+        monkeypatch.setattr(classify, "exp_plus_array", counting_array)
+        rng = np.random.default_rng(0)
+        seeds = rng.uniform(-4, 10, 200) + 1j * rng.uniform(-12, 12, 200)
+        escaping = 0
+        for z in seeds.tolist():
+            steps.clear()
+            got = classify_point(p, z, depth=100)
+            if isinstance(got, (FastEscaping, EscapingSlow)):
+                escaping += 1
+                assert sum(steps) <= 4, z
+        assert escaping > 0
 
 
 class TestFastEscapeTest:
@@ -341,46 +381,7 @@ def _least_offset_by_search(mags, table, depth):
     return None
 
 
-def _tower(key):
-    """Tower of an integer key, in key order across levels 0-2."""
-    level, rest = divmod(key, 10)
-    return TowerReal(level, float(rest) + (LN_H if level else 0.0))
-
-
-@st.composite
-def _offset_cases(draw):
-    """(mags, nondecreasing table with ties, depth) for the offset helper.
-
-    As on an orbit track, mags run up to ten steps past ``depth``.
-    """
-    depth = draw(st.integers(min_value=1, max_value=40))
-    keys = sorted(draw(st.lists(st.integers(0, 29), min_size=depth + 1, max_size=depth + 1)))
-    size = depth + 1 + draw(st.integers(0, 10))
-    if draw(st.booleans()):
-        # Orbits near the table: a shifted copy plus noise, often fast.
-        shift = draw(st.integers(0, depth))
-        noise = draw(st.lists(st.integers(-2, 3), min_size=size, max_size=size))
-        mags = [
-            min(29, max(0, keys[min(depth, max(0, k - shift))] + d))
-            for k, d in enumerate(noise)
-        ]
-    else:
-        mags = draw(st.lists(st.integers(0, 29), min_size=size, max_size=size))
-    return [_tower(k) for k in mags], [_tower(k) for k in keys], depth
-
-
 class TestFastOffset:
-    @given(_offset_cases())
-    @example(([_tower(5)] * 2, [_tower(5)] * 2, 1))
-    @example(([_tower(5)] * 3, [_tower(5)] * 3, 2))
-    @example(([_tower(5)] * 4, [_tower(5)] * 4, 3))
-    @example(([_tower(k) for k in (3, 1, 9, 19, 29)], [_tower(k) for k in (3, 3, 9, 9, 20)], 4))
-    def test_matches_quadratic_search(self, case):
-        mags, table, depth = case
-        assert classify._fast_offset(mags, table, depth) == _least_offset_by_search(
-            mags, table, depth
-        )
-
     @pytest.fixture
     def decreasing_table(self, monkeypatch):
         def decreasing(a, r, count):
@@ -407,10 +408,11 @@ class TestDominationTable:
 
     @staticmethod
     def _assert_shifts(a, depth):
-        table = classify._domination_table(complex(a), depth)
-        for prev, entry in zip(table, table[1:]):
-            if prev.level >= 1:
-                assert entry == TowerReal(prev.level + 1, prev.mantissa), (a, depth)
+        # keys are level + i*mantissa
+        keys, _ = classify._domination_table(complex(a), depth)
+        for prev, entry in zip(keys, keys[1:]):
+            if prev.real >= 1:
+                assert entry == prev + 1, (a, depth)
 
     @pytest.mark.parametrize("a", [-2, 5 + 3.14j, 2.06 + 1.57j, 1.004 + 2.9j])
     def test_figure_parameters(self, a):

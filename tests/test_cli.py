@@ -126,13 +126,54 @@ class TestArgumentErrors:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "map_kind, z",
+        [("exp", "1e309"), ("fatou", "1e309"),
+         # finite parts, but complex abs raised OverflowError: exit 1
+         ("exp", "1.5e308+1.5e308i"), ("fatou", "1.5e308+1.5e308i")],
+        ids=["exp", "fatou", "exp-inf-modulus", "fatou-inf-modulus"],
+    )
+    def test_overflowing_seed_is_an_argument_error(self, map_kind, z, capsys):
+        code, out, err = run(
+            ["classify-point", "--map", map_kind, "--a", "-2", "--z", z], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify-param"],
+            ["classify-point", "--z", "1"],
+            ["trace-hair", "--address", "|0"],
+            ["trace-hair", "--address", "|0", "--depth", "3"],
+        ],
+        ids=["classify-param", "classify-point", "trace-hair", "trace-hair-depth"],
+    )
+    def test_overflowing_parameter_modulus_is_an_argument_error(self, argv, capsys):
+        code, out, err = run([*argv, "--a", "1.5e308+1.5e308i"], capsys)
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
     @pytest.mark.parametrize("map_kind", ["exp", "fatou"])
-    def test_overflowing_seed_is_an_argument_error(self, map_kind, capsys):
+    def test_overflowing_viewport_modulus_is_an_argument_error(self, map_kind, tmp_path, capsys):
+        out_path = tmp_path / "x.pgm"
         code, _, err = run(
-            ["classify-point", "--map", map_kind, "--a", "-2", "--z", "1e309"], capsys
+            ["render", "--map", map_kind, "--viewport=1.4e308,1.6e308,1.4e308,1.6e308",
+             "--width", "2", "--height", "2", "--out", str(out_path)],
+            capsys,
         )
         assert code == 2
         assert "finite" in err
+        assert not out_path.exists()
+
+    def test_width_past_one_row_per_block_is_an_argument_error(self, capsys):
+        # Rejected before any pixel is classified.
+        code, _, err = run(
+            ["render", "--width", "300001", "--height", "1", "--out", "x.pgm"], capsys
+        )
+        assert code == 2
+        assert "width <= 300000" in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(["--help"], capsys)

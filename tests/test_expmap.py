@@ -41,8 +41,12 @@ class TestParams:
         assert Params(a=0j).radius == 3.0
 
     def test_non_finite_parameter_rejected(self):
-        # (1e308, 1e308) has finite parts, but |a| overflows the radius.
-        for a in (complex(math.inf, 0.0), complex(math.nan, 0.0), complex(1e308, 1e308)):
+        # (1e308, 1e308) has finite parts, but |a| overflows the radius;
+        # complex abs raises OverflowError on (1.5e308, 1.5e308).
+        for a in (
+            complex(math.inf, 0.0), complex(math.nan, 0.0), complex(1e308, 1e308),
+            complex(1.5e308, 1.5e308),
+        ):
             with pytest.raises(ValueError):
                 Params(a=a)
 

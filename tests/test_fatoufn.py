@@ -107,7 +107,7 @@ class TestClassify:
 
     @pytest.mark.parametrize(
         "z", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(-math.inf, 0.0),
-              complex(0.0, math.inf)]
+              complex(0.0, math.inf), complex(1.5e308, 1.5e308)]
     )
     def test_non_finite_seed_rejected(self, z):
         with pytest.raises(ValueError, match="finite"):

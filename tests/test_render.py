@@ -2,7 +2,6 @@
 
 import cmath
 import hashlib
-import importlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expbouquet import classify, expmap
 from expbouquet.classify import CYCLE_DETECT_TOL, classify_point
 from expbouquet.expmap import Params
 from expbouquet.render import (
@@ -31,12 +31,11 @@ from expbouquet.render import (
     escape_fraction,
     render,
     write_pgm,
+    _block_rows,
     _trapping_discs,
 )
 from expbouquet.towerfloat import exp_plus_array
-
-# the module (the package attribute ``expbouquet.render`` is the function)
-raster = importlib.import_module("expbouquet.render")
+from test_classify import _classify_point_eager
 
 SMALL = RenderSpec(
     map_kind="exponential",
@@ -189,6 +188,20 @@ def _random_specs(count):
 RANDOM_SPECS = _random_specs(40)
 
 
+# The edge grids of DIFFERENTIAL_SPECS: all but the 24x24 parameter grids.
+EDGE_SPECS = {name: spec for name, spec in DIFFERENTIAL_SPECS.items() if not name.startswith("a=")}
+
+
+def _cell_centres(spec):
+    """(row, column, seed) of every pixel, seeded at its cell centre."""
+    x0, x1, y0, y1 = spec.viewport
+    dx = (x1 - x0) / spec.width
+    dy = (y1 - y0) / spec.height
+    for i in range(spec.height):
+        for j in range(spec.width):
+            yield i, j, complex(x0 + (j + 0.5) * dx, y1 - (i + 0.5) * dy)
+
+
 def _scalar_verdict(p, z, depth, bailout):
     """(class name, exit step of EscapingSlow) by the scalar classifier."""
     got = classify_point(p, z, depth=depth, bailout=bailout)
@@ -217,6 +230,10 @@ class TestRenderSpec:
             RenderSpec(map_kind="exponential", width=0)
         with pytest.raises(ValueError):
             RenderSpec(map_kind="exponential", width=20000, height=20000)
+        # past this width one row would exceed a work block's memory budget
+        assert _block_rows(RenderSpec(map_kind="exponential", width=300_000, height=1)) == 1
+        with pytest.raises(ValueError, match="width <= 300000"):
+            RenderSpec(map_kind="exponential", width=300_001, height=1)
         with pytest.raises(ValueError):
             RenderSpec(map_kind="exponential", max_iter=0)
         with pytest.raises(ValueError):
@@ -233,8 +250,11 @@ class TestRenderSpec:
             (-1.0, math.nan, -1.0, 1.0),
             (-1e308, 1e308, -1.0, 1.0),  # finite bounds, infinite width
             (-1.0, 1.0, -1e308, 1e308),
+            # finite extents, but no seed has a finite |z|: the kernels
+            # tagged every pixel FastEscaping or Undecided
+            (1.4e308, 1.6e308, 1.4e308, 1.6e308),
         ],
-        ids=["inf-bound", "inf-top", "nan-bound", "inf-width", "inf-height"],
+        ids=["inf-bound", "inf-top", "nan-bound", "inf-width", "inf-height", "inf-modulus"],
     )
     def test_non_finite_viewport_rejected(self, map_kind, viewport):
         # Otherwise every pixel gets one tag from a NaN or infinite seed.
@@ -283,17 +303,32 @@ class TestClassificationColors:
     def test_matches_scalar_classifier(self, spec):
         p = Params(a=spec.a)
         tags, exits = classify_grid(spec, workers=1)
-        x0, x1, y0, y1 = spec.viewport
-        dx = (x1 - x0) / spec.width
-        dy = (y1 - y0) / spec.height
-        for i in range(spec.height):
-            for j in range(spec.width):
-                z = complex(x0 + (j + 0.5) * dx, y1 - (i + 0.5) * dy)
-                name, exit_step = _scalar_verdict(p, z, spec.max_iter, spec.bailout)
-                assert (name, exit_step) == (
-                    TAG_NAMES[tags[i, j]],
-                    exits[i, j] if tags[i, j] == TAG_SLOW else None,
-                ), (i, j, z)
+        for i, j, z in _cell_centres(spec):
+            name, exit_step = _scalar_verdict(p, z, spec.max_iter, spec.bailout)
+            assert (name, exit_step) == (
+                TAG_NAMES[tags[i, j]],
+                exits[i, j] if tags[i, j] == TAG_SLOW else None,
+            ), (i, j, z)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [*EDGE_SPECS.values(), *RANDOM_SPECS.values()],
+        ids=[*EDGE_SPECS, *RANDOM_SPECS],
+    )
+    def test_matches_eager_oracle(self, spec):
+        # classify_point and the kernel share their offset routines; this
+        # oracle builds every tower and searches every offset instead.
+        p = Params(a=spec.a)
+        tags, exits = classify_grid(spec, workers=1)
+        for i, j, z in _cell_centres(spec):
+            got = _classify_point_eager(p, z, spec.max_iter, spec.bailout)
+            zs = expmap._track(p.a, z, spec.max_iter, spec.bailout)
+            exit_step = next(
+                (n for n, w in enumerate(zs) if w is None or abs(w) > spec.bailout), -1
+            )
+            assert (type(got).__name__, exit_step) == (TAG_NAMES[tags[i, j]], exits[i, j]), (
+                i, j, z,
+            )
 
 
 class TestTrappingDiscs:
@@ -458,7 +493,7 @@ class TestKernelWork:
             sizes.append(level.size)
             return exp_plus_array(level, mantissa, c)
 
-        monkeypatch.setattr(raster, "exp_plus_array", counting)
+        monkeypatch.setattr(classify, "exp_plus_array", counting)
         spec = _exp_spec(a, max_iter=60, size=64, bailout=bailout)
         _, exits = classify_grid(spec, workers=1)
         escaping = int(np.count_nonzero(exits >= 0))
