@@ -24,6 +24,7 @@ from .expmap import (
     MAG_GUARD,
     RE_OVERFLOW,
     Params,
+    _finite,
     _track,
     eval_map,
     max_modulus_iterates,
@@ -184,8 +185,18 @@ def _domination_table(a: complex, depth: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _direct_bound(a: complex, depth: int, k: int | np.ndarray, mag: np.ndarray) -> np.ndarray:
-    """Offset bounds ``k + 1 - c(k)`` at direct points ``|z_k| = mag`` (:func:`_settle_bound`)."""
-    return k + 1 - np.searchsorted(_domination_table(a, depth)[1], mag, side="right")
+    """Offset bounds ``k + 1 - c(k)`` at direct points ``|z_k| = mag`` (:func:`_settle_bound`).
+
+    ``c(k)`` counts the comparisons ``mag >= entry`` over the level-0
+    entries, so a tie counts.  The entries are sorted, so for every
+    non-NaN ``mag`` this is ``searchsorted(ground, mag, side="right")``;
+    ``mag`` is never NaN (seeds are checked finite, and the switch rules
+    keep ``|z| < 1e15``).  The count is kept in the narrowest unsigned type
+    that holds it and widened once to int64, so ``k + 1`` cannot overflow.
+    """
+    ground = _domination_table(a, depth)[1]
+    c = np.add.reduce(mag >= ground[:, None], dtype=np.min_scalar_type(ground.size))
+    return np.subtract(k + 1, c, dtype=np.int64)
 
 
 def _settle_bound(
@@ -257,9 +268,7 @@ def classify_point(
         raise ValueError("depth must be >= 1")
     if not 0.0 < bailout <= MAG_GUARD:
         raise ValueError("bailout must be in (0, 1e15]")
-    if not math.isfinite(math.hypot(z.real, z.imag)):  # complex abs would overflow
-        raise ValueError(f"seed must be finite with a finite modulus, got {z}")
-    zs = _track(p.a, z, depth + 10, bailout)
+    zs = _track(p.a, _finite("seed", z), depth + 10, bailout)
     exit_step = next(
         (n for n, w in enumerate(zs[: depth + 1]) if w is None or abs(w) > bailout), None
     )

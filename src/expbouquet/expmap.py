@@ -66,11 +66,10 @@ class Params:
     radius: float = field(init=False)
 
     def __post_init__(self) -> None:
-        a = complex(self.a)
-        # math.hypot returns inf where complex abs raises OverflowError
-        r = 3.0 + 2.0 * (abs(a) if math.isfinite(math.hypot(a.real, a.imag)) else math.inf)
+        a = _finite("parameter a", complex(self.a))
+        r = 3.0 + 2.0 * abs(a)
         if not math.isfinite(r):
-            raise ValueError("parameter a must be finite with finite |a|")
+            raise ValueError(f"parameter a must have a finite radius 3 + 2|a|, got {a}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "radius", r)
 
@@ -101,6 +100,16 @@ def eval_map(a: complex, z: complex) -> complex:
     if z.real > RE_OVERFLOW:
         raise OverflowError(f"exp(z) overflows for Re z = {z.real!r} > {RE_OVERFLOW}")
     return cmath.exp(z) + a
+
+
+def _finite(name: str, z: complex) -> complex:
+    """``complex(z)``, or :class:`ValueError` naming it unless its modulus is finite.
+
+    ``math.hypot`` is inf where complex ``abs`` raises :class:`OverflowError`.
+    """
+    if not math.isfinite(math.hypot(z.real, z.imag)):
+        raise ValueError(f"{name} must be finite with a finite modulus, got {z}")
+    return complex(z)
 
 
 def _track(a: complex, z0: complex, steps: int, bailout: float) -> list[complex | None]:
@@ -159,13 +168,14 @@ def orbit(a: complex, z0: complex, depth: int, bailout: float = 1e10) -> list[Or
     sample is included).  If the orbit instead jumps straight past the
     representable range (``|z| >= 1e15`` or ``Re z > 700``), the magnitude
     track continues to ``depth`` with samples marked ``"overflowed"``.
-    The seed is always ``"in-range"``.  Requires ``bailout <= 1e15``.
+    The seed is always ``"in-range"``.  Requires ``bailout <= 1e15`` and
+    finite moduli ``|a|`` and ``|z0|`` (else :class:`ValueError`).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not 0.0 < bailout <= MAG_GUARD:
         raise ValueError("bailout must be in (0, 1e15]")
-    zs = _track(a, z0, depth, bailout)
+    zs = _track(_finite("parameter a", a), _finite("seed", z0), depth, bailout)
     samples: list[OrbitSample] = []
     for n, (z, mag) in enumerate(zip(zs, _towers(a, zs, bailout))):
         if n > 0 and z is not None and abs(z) >= MAG_GUARD and abs(z) > bailout:

@@ -15,7 +15,7 @@ import cmath
 import math
 
 from .classify import EscapingSlow, NonEscapingBounded, PointClass, Undecided
-from .expmap import MAG_GUARD, _TINY, OrbitSample
+from .expmap import MAG_GUARD, _TINY, OrbitSample, _finite
 from .towerfloat import TowerReal
 
 __all__ = [
@@ -88,13 +88,13 @@ def fatou_orbit(z0: complex, depth: int, bailout: float = 1e10) -> list[OrbitSam
     orbit reaches ``Re z < -700`` the next magnitude is still recorded as
     a tower (``log |z_next| ~ -Re z``) with status ``"overflowed"`` and
     the orbit ends there: past that point not even the magnitude admits
-    a usable model.
+    a usable model.  Requires a finite ``|z0|`` (else :class:`ValueError`).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not 0.0 < bailout <= MAG_GUARD:
         raise ValueError("bailout must be in (0, 1e15]")
-    w = complex(z0)
+    w = _finite("seed", z0)
     samples = [
         OrbitSample(
             n=0,
@@ -139,9 +139,7 @@ def fatou_classify(z: complex, depth: int = 100) -> PointClass:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if not math.isfinite(math.hypot(z.real, z.imag)):  # complex abs would overflow
-        raise ValueError(f"seed must be finite with a finite modulus, got {z}")
-    w = complex(z)
+    w = _finite("seed", z)
     max_abs = abs(w)
     run = 0
     for n in range(1, depth + 1):

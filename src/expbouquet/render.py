@@ -58,9 +58,10 @@ TAG_NAMES = ("FastEscaping", "EscapingSlow", "NonEscapingBounded", "Basin", "Und
 
 _CLASS_COLORS = np.array([0, 96, 192, 255, 128], dtype=np.uint8)
 
-# Widest row of one 300 MB work block: the exponential kernel holds about 1 kB
-# per pixel (the 43-row orbit tail plus per-step temporaries) whatever
-# max_iter is, and a block holds at least one row.
+# Widest row of one 300 MB work block: the exponential kernel holds at most
+# about 1 kB per pixel (43 tail rows plus per-step temporaries, when every
+# pixel stays in the set) whatever max_iter is, and a block holds at least
+# one row.
 _MAX_WIDTH = 300_000
 
 # Outward rounding of a trapping disc: a point whose computed distance to the
@@ -210,9 +211,17 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     never comes back.  Its exit step, the rule of
     :func:`expbouquet.classify.classify_point`, is written then: the step
     itself if ``|z|`` is past the bailout, else the next (first
-    growth-model) step, and -1 past ``max_iter``.  The set writes its
-    points into the orbit rows basin detection reads; a pixel that has
-    left stays NaN there.
+    growth-model) step, and -1 past ``max_iter``.
+
+    The orbit tail that basin detection reads is kept in set order: from
+    step ``max(0, max_iter - 32)`` on, each step's ``z`` array is kept as
+    that step's row, and each compaction of the set also runs over the
+    rows kept so far, so position ``i`` of every row holds the point of
+    ``pixel[i]``.  This gives the bytes of a pass over raster-order rows,
+    where a pixel is NaN from the step it leaves or retires: its
+    ``max_iter + 10`` test fails there, so only the pixels that never
+    left can turn ``Basin``.  They are the set left at the end, and its
+    rows hold their points, compared and summed in the same order.
 
     The running offset bound is that of
     :func:`expbouquet.classify.classify_point`, by the same routines: a
@@ -241,12 +250,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     xs, ys = _pixel_centers(spec, y_start, y_stop)
     z = (xs[None, :] + 1j * ys[:, None]).reshape(-1)
     npix = z.size
-    tail_from = max(0, depth - 32)  # basin detection reads steps tail_from .. total
-    # One array per tail row, each as wide as a step temporary: once freed
-    # into the malloc heap, a single tail-sized block can be split by later
-    # allocations, and the next block's tail then takes a second region
-    # (about 20 MB more peak RSS in some fork workers, by allocation order).
-    tail = [np.full(npix, np.nan, dtype=np.complex128) for _ in range(total + 1 - tail_from)]
+    tail = []  # z at steps max(0, max_iter - 32) .. total, in set order
 
     discs = _trapping_discs(a, depth, spec.bailout)
     last_retire = -1  # retire into the largest disc D_k at steps n <= last_retire
@@ -288,33 +292,32 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                 # the pixels gone past them; then the first m are cut off.
                 into = m + np.flatnonzero(gone[m:])
                 stay = np.flatnonzero(~gone[:m])
-                for state in (pixel, offset, z, az):
+                for state in (pixel, offset, z, az, *tail):
                     state[into] = state[stay]
                 pixel, offset, z, az = pixel[m:], offset[m:], z[m:], az[m:]
+                tail = [row[m:] for row in tail]
             if n <= depth:
                 np.maximum(offset, _direct_bound(a, depth, n, az), out=offset)
-            if n >= tail_from:
-                tail[n - tail_from][pixel] = z
+            if n >= depth - 32:  # basin detection reads these steps
+                tail.append(z)
             z = np.exp(z) + a
             az = np.abs(z)
-        tail[-1][pixel] = z
+        tail.append(z)
 
-        if (tags == TAG_BOUNDED).any():  # basin detection on the other bounded pixels
-            z_depth, z_total = tail[depth - tail_from], tail[-1]
-            for q in range(1, min(32, depth) + 1):
-                close = (
-                    (tags == TAG_BOUNDED)
-                    & (np.abs(z_depth - tail[depth - tail_from - q]) < CYCLE_DETECT_TOL)
-                    & (np.abs(z_total - tail[-1 - q]) < CYCLE_DETECT_TOL)
-                )
-                if not close.any():
-                    continue
-                # Ascending sequential window sum, matching the scalar
-                # classifier's summation order term for term.
-                acc = tail[-1 - q].real.copy()
-                for row in tail[-q:-1]:
-                    acc = acc + row.real
-                tags[close & (acc < ATTRACT_CUT)] = TAG_BASIN
+        # Basin detection on the set left: the pixels that never left.
+        z_depth, z_total = tail[-11], tail[-1]  # steps max_iter and total
+        todo = np.ones(pixel.size, dtype=bool)  # not yet tagged Basin
+        for q in range(1, min(32, depth) + 1):
+            close = np.flatnonzero(todo & (np.abs(z_depth - tail[-11 - q]) < CYCLE_DETECT_TOL))
+            close = close[np.abs(z_total[close] - tail[-1 - q][close]) < CYCLE_DETECT_TOL]
+            # Ascending sequential window sum, matching the scalar
+            # classifier's summation order term for term.
+            acc = tail[-1 - q].real[close]
+            for row in tail[-q:-1]:
+                acc += row.real[close]
+            basin = close[acc < ATTRACT_CUT]
+            tags[pixel[basin]] = TAG_BASIN
+            todo[basin] = False
 
     return tags.reshape(-1, spec.width), exits.reshape(-1, spec.width)
 

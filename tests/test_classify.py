@@ -427,6 +427,52 @@ class TestDominationTable:
         self._assert_shifts(a, depth)
 
 
+def _searched_bound(a, depth, k, mag):
+    """``_direct_bound`` by one search over the sorted level-0 entries: the oracle."""
+    ground = classify._domination_table(a, depth)[1]
+    return k + 1 - np.searchsorted(ground, mag, side="right")
+
+
+class TestDirectBound:
+    """``_direct_bound`` counts comparisons with the level-0 entries, ties included."""
+
+    @staticmethod
+    def _assert_matches_search(a, depth, extra=()):
+        a = complex(a)
+        ground = classify._domination_table(a, depth)[1]
+        mags = np.concatenate(
+            [
+                ground,
+                np.nextafter(ground, 0.0),
+                np.nextafter(ground, np.inf),
+                [0.0, 1e15 - 8, np.nextafter(1e15, 0.0), 1e15, np.inf],
+                np.asarray(extra, dtype=float),
+            ]
+        )
+        ks = [0, 127, 128, 255, 256, 10**6, np.arange(mags.size), 10**6 - np.arange(mags.size)]
+        for k in ks:
+            got = classify._direct_bound(a, depth, k, mags)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _searched_bound(a, depth, k, mags)), (a, depth, k)
+        for k in (0, 10**6, np.arange(0)):
+            got = classify._direct_bound(a, depth, k, np.empty(0))
+            assert got.shape == (0,) and got.dtype == np.int64
+
+    @pytest.mark.parametrize("a", [-2, 5 + 3.14j, 2.06 + 1.57j, 1.004 + 2.9j])
+    @pytest.mark.parametrize("depth", [1, 60, 200])
+    def test_figure_parameters(self, a, depth):
+        self._assert_matches_search(a, depth)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.builds(complex, st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+        st.integers(1, 200),
+        st.lists(st.floats(0.0, 1e15), max_size=20),
+    )
+    def test_any_parameter(self, a, depth, extra):
+        self._assert_matches_search(a, depth, extra)
+
+
 class TestFindCycle:
     def test_refines_attracting_fixed_point(self):
         cycle, mult = find_cycle(P2, -1.8 + 0j, 1)

@@ -110,6 +110,16 @@ class TestOrbit:
         with pytest.raises(ValueError):
             orbit(-2 + 0j, 0j, depth=5, bailout=1e16)
 
+    @pytest.mark.parametrize(
+        "z", [complex(math.nan, 0.0), complex(0.0, -math.inf), complex(1.5e308, 1.5e308)]
+    )
+    def test_non_finite_seed_or_parameter_rejected(self, z):
+        # complex abs raises OverflowError on (1.5e308, 1.5e308)
+        with pytest.raises(ValueError, match="seed must be finite"):
+            orbit(-2 + 0j, z, depth=3)
+        with pytest.raises(ValueError, match="parameter a must be finite"):
+            orbit(z, 0j, depth=3)
+
     def test_csv_round_trip_format(self):
         text = orbit_to_csv(orbit(-2 + 0j, 3 + 0j, depth=4))
         lines = text.splitlines()

@@ -112,3 +112,11 @@ class TestClassify:
     def test_non_finite_seed_rejected(self, z):
         with pytest.raises(ValueError, match="finite"):
             fatou_classify(z)
+
+    @pytest.mark.parametrize(
+        "z", [complex(math.nan, 0.0), complex(0.0, -math.inf), complex(1.5e308, 1.5e308)]
+    )
+    def test_orbit_rejects_non_finite_seed(self, z):
+        # complex abs raises OverflowError on (1.5e308, 1.5e308)
+        with pytest.raises(ValueError, match="seed must be finite"):
+            fatou_orbit(z, 3)
