@@ -200,9 +200,19 @@ def _direct_bound(a: complex, depth: int, k: int | np.ndarray, mag: np.ndarray) 
 
 
 def _settle_bound(
-    a: complex, depth: int, bailout: float, n: int, z: np.ndarray, bound: int | np.ndarray
+    a: complex,
+    depth: int,
+    bailout: float,
+    n: int | np.ndarray,
+    z: np.ndarray,
+    bound: int | np.ndarray,
 ) -> np.ndarray:
     """Final offset bounds of orbits whose last direct point is ``z_n = z``, for ``n <= depth``.
+
+    ``n`` is one leave step for all orbits or one per orbit.  Each orbit
+    steps ``k`` from its own ``n + 1`` and stops on its own, as below, so
+    one call over many leave steps (the rasterizer's one call per block)
+    gives the bounds of one call per step.
 
     The rule of :func:`classify_point` and the rasterizer alike.  ``T_k``
     is the tower of ``|z_k|`` and ``c(k)`` counts the entries ``<= T_k`` of
@@ -233,19 +243,20 @@ def _settle_bound(
     az = np.abs(z)
     level, mantissa = from_real_array(az)
     c = np.searchsorted(keys, level + 1j * mantissa, side="right")
-    bound = np.maximum(bound, n + 1 - c)
+    k = np.full(z.shape, n)  # the step of each orbit's tower
+    bound = np.maximum(bound, k + 1 - c)
     alone = (az <= bailout) & (az < MAG_GUARD) & (z.real > RE_OVERFLOW)
     mantissa = np.where(alone, z.real, mantissa)
     live = np.arange(z.size)  # orbits whose bound may still rise
-    for k in range(n + 1, depth + 1):
-        more = c <= ground.size
-        live, level, mantissa = live[more], level[more], mantissa[more]
+    while True:
+        more = (c <= ground.size) & (k < depth)
+        k, live, level, mantissa = k[more], live[more], level[more], mantissa[more]
         if not live.size:
-            break
+            return bound
+        k = k + 1
         level, mantissa = exp_plus_array(level, mantissa, abs(a))
         c = np.searchsorted(keys, level + 1j * mantissa, side="right")
         bound[live] = np.maximum(bound[live], k + 1 - c)
-    return bound
 
 
 def classify_point(

@@ -7,9 +7,11 @@ in vectorized form, in one forward pass that keeps no per-step history.
 Each kernel iterates only the pixels that still need a step: the
 exponential kernel keeps one direct set (points evaluated with ``exp``)
 that a pixel leaves on the scalar track's switch rules, its fast-escape
-offset settled then by the scalar classifier's own offset routine, or
-when it is trapped near an attracting cycle and retired as
-``Basin`` (:func:`_trapping_discs`); the drift kernel keeps a live set that
+offset settled at the end of its block, with every other leaver's, by
+the scalar classifier's own offset routine; or when it is trapped near an
+attracting cycle and retired as ``Basin`` (:func:`_trapping_discs`); or
+at ``max_iter`` when it fails every period test that a ``Basin`` tag
+needs.  The drift kernel keeps a live set that
 pixels leave on underflow or certified escape.  The grid is cut into fixed
 horizontal blocks that are pure functions of the render description, so
 output bytes are identical across runs, worker counts and scheduling orders.
@@ -60,8 +62,8 @@ _CLASS_COLORS = np.array([0, 96, 192, 255, 128], dtype=np.uint8)
 
 # Widest row of one 300 MB work block: the exponential kernel holds at most
 # about 1 kB per pixel (43 tail rows plus per-step temporaries, when every
-# pixel stays in the set) whatever max_iter is, and a block holds at least
-# one row.
+# pixel stays in the set, or a 32-byte record per pixel that exits within
+# max_iter) whatever max_iter is, and a block holds at least one row.
 _MAX_WIDTH = 300_000
 
 # Outward rounding of a trapping disc: a point whose computed distance to the
@@ -213,6 +215,25 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     itself if ``|z|`` is past the bailout, else the next (first
     growth-model) step, and -1 past ``max_iter``.
 
+    The switch rules run on the pixels with ``|z| > min(bailout, 350)``
+    only, a superset of those that leave: the bailout is at most ``1e15``,
+    so ``|z|`` past the bailout or ``1e15`` is past it, and ``Re z > 700``
+    gives ``|z| > 350`` (complex ``abs`` is never below ``|Re z|`` by
+    anything near a factor of 2).
+
+    The running offset bound is that of
+    :func:`expbouquet.classify.classify_point`, by the same routines: a
+    step in the set adds :func:`expbouquet.classify._direct_bound`, and
+    the pixels that leave at a step ``n <= max_iter`` are recorded (raster
+    index, ``n``, ``z_n``, bound before ``n``) and get their final bounds
+    in one :func:`expbouquet.classify._settle_bound` call at the end of
+    the block (its docstring has the argument).  A pixel is fast iff that
+    bound is ``<= max_iter - 3``.  Writing these tags last changes no
+    byte: the pixels that leave, those retired into a disc below and
+    those left in the set at the end are disjoint, since discs lie within
+    the bailout, below ``1e15`` and at ``Re z <= 700``, so no pixel in a
+    disc leaves.
+
     The orbit tail that basin detection reads is kept in set order: from
     step ``max(0, max_iter - 32)`` on, each step's ``z`` array is kept as
     that step's row, and each compaction of the set also runs over the
@@ -221,14 +242,12 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     where a pixel is NaN from the step it leaves or retires: its
     ``max_iter + 10`` test fails there, so only the pixels that never
     left can turn ``Basin``.  They are the set left at the end, and its
-    rows hold their points, compared and summed in the same order.
-
-    The running offset bound is that of
-    :func:`expbouquet.classify.classify_point`, by the same routines: a
-    step in the set adds :func:`expbouquet.classify._direct_bound`, and
-    the pixels that leave at step ``n <= max_iter`` get their final bound
-    from :func:`expbouquet.classify._settle_bound` (its docstring has the
-    argument).  A pixel is fast iff that bound is ``<= max_iter - 3``.
+    rows hold their points, compared and summed in the same order.  At
+    step ``max_iter`` the set is also cut to the pixels with
+    ``|z_max_iter - z_{max_iter-q}| < CYCLE_DETECT_TOL`` for some
+    ``q <= min(32, max_iter)``: a ``Basin`` tag needs that test, and no
+    exit is written past ``max_iter``, so the others stay
+    ``NonEscapingBounded`` with exit -1 as in the full pass.
 
     With :func:`_trapping_discs` around an attracting ``p``-cycle, a
     pixel whose ``z_n`` lies in the largest disc ``D_k`` at a step
@@ -246,6 +265,9 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     a = spec.a
     depth = spec.max_iter
     total = depth + 10
+    # Every pixel that leaves has |z| past this: the bailout is at most 1e15,
+    # and Re z > 700 puts |z| past 350.
+    reach = min(spec.bailout, 350.0)
 
     xs, ys = _pixel_centers(spec, y_start, y_stop)
     z = (xs[None, :] + 1j * ys[:, None]).reshape(-1)
@@ -265,44 +287,68 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     offset = np.zeros(npix, dtype=np.int64)  # least admissible fast-escape offset
     exits = np.full(npix, -1, dtype=np.int64)
     tags = np.full(npix, TAG_BOUNDED, dtype=np.uint8)
+    leavers = []  # per step n <= max_iter with exits: (n, raster index, z_n, offset bound)
 
     with np.errstate(all="ignore"):
         az = np.abs(z)
         for n in range(total):
-            # Switch rules of the scalar track: magnitude past the bailout or
-            # the tower guard, or real part past the direct-exp range.
-            past = az > spec.bailout
-            gone = past | (az >= MAG_GUARD) | (z.real > RE_OVERFLOW)
-            if n <= depth and gone.any():
-                out = np.flatnonzero(gone if n < depth else past)  # others exit past depth
-                step = np.where(past[out], n, n + 1)
-                ell = _settle_bound(a, depth, spec.bailout, n, z[out], offset[out])
-                exits[pixel[out]] = step
-                tags[pixel[out]] = np.where(ell <= depth - 3, TAG_FAST, TAG_SLOW)
+            # Switch rules of the scalar track, on the pixels past reach
+            # only: magnitude past the bailout or the tower guard, or real
+            # part past the direct-exp range.
+            cand = np.flatnonzero(az > reach)
+            mag = az[cand]
+            past = mag > spec.bailout
+            leave = past | (mag >= MAG_GUARD) | (z.real[cand] > RE_OVERFLOW)
+            if n <= depth:
+                exiting = leave if n < depth else past  # others exit past depth
+                out = cand[exiting]
+                if out.size:
+                    exits[pixel[out]] = np.where(past[exiting], n, n + 1)
+                    leavers.append((n, pixel[out], z[out], offset[out]))
+            gone = cand[leave]  # sorted positions to cut from the set
             if n <= last_retire:
                 # |z - c_k| >= ||z| - |c_k||: the complex distance runs on
                 # the pixels the moduli leave in reach only.
                 near = np.flatnonzero(np.abs(az - mk) <= rk)
                 near = near[np.abs(z[near] - ck) <= rk]
                 tags[pixel[near]] = TAG_BASIN
-                gone[near] = True
-            m = int(np.count_nonzero(gone))
+                cut = np.zeros(z.size, dtype=bool)
+                cut[gone] = cut[near] = True
+                gone = np.flatnonzero(cut)
+            elif n == depth:
+                # Only pixels with |z_max_iter - z_{max_iter-q}| < tol for
+                # some q can turn Basin; the rest stay NonEscapingBounded.
+                keep = np.zeros(z.size, dtype=bool)
+                for row in tail:  # q = 1 .. min(32, max_iter)
+                    keep |= np.abs(z - row) < CYCLE_DETECT_TOL
+                keep[gone] = False
+                gone = np.flatnonzero(~keep)
+            m = gone.size
             if m:
                 # Staying pixels among the first m move into the slots of
                 # the pixels gone past them; then the first m are cut off.
-                into = m + np.flatnonzero(gone[m:])
-                stay = np.flatnonzero(~gone[:m])
+                before = int(np.searchsorted(gone, m))
+                into, stay = gone[before:], np.delete(np.arange(m), gone[:before])
                 for state in (pixel, offset, z, az, *tail):
                     state[into] = state[stay]
                 pixel, offset, z, az = pixel[m:], offset[m:], z[m:], az[m:]
                 tail = [row[m:] for row in tail]
-            if n <= depth:
+            if n < depth:
                 np.maximum(offset, _direct_bound(a, depth, n, az), out=offset)
             if n >= depth - 32:  # basin detection reads these steps
                 tail.append(z)
             z = np.exp(z) + a
             az = np.abs(z)
         tail.append(z)
+
+        # One settle for every pixel that exited within max_iter.
+        if leavers:
+            steps, out, z_out, bound = zip(*leavers)
+            steps = np.repeat(steps, [o.size for o in out])
+            ell = _settle_bound(
+                a, depth, spec.bailout, steps, np.concatenate(z_out), np.concatenate(bound)
+            )
+            tags[np.concatenate(out)] = np.where(ell <= depth - 3, TAG_FAST, TAG_SLOW)
 
         # Basin detection on the set left: the pixels that never left.
         z_depth, z_total = tail[-11], tail[-1]  # steps max_iter and total

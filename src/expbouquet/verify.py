@@ -472,7 +472,9 @@ def suite_figures(threads: int | None = None) -> list[Check]:
 #: on their default viewports, each at three depths, then edge grids at the
 #: track's branch boundaries: seeds on both sides of ``Re z = 700``, first
 #: iterates on both sides of it (``e^z - 2 = 700`` at ``z = ln 702``), a
-#: bailout below ``R`` (towers take several steps to settle) and ``1e15``.
+#: bailout below ``R`` (towers take several steps to settle) and ``1e15``,
+#: and seeds within 1e-10 of the repelling fixed point of ``a = -2`` that all
+#: pass the period-1 test at ``max_iter`` 4 and fail it 10 steps later.
 DIFFERENTIAL_GRIDS = tuple(
     RenderSpec(map_kind=kind, a=a, width=48, height=48, max_iter=depth)
     for kind, params in (
@@ -482,24 +484,32 @@ DIFFERENTIAL_GRIDS = tuple(
     for a in params
     for depth in (20, 60, 200)
 ) + tuple(
-    RenderSpec("exponential", a=a, viewport=viewport, width=48, height=48, bailout=bailout)
-    for a, viewport, bailout in (
-        (-2, (690.0, 710.0, -5.0, 5.0), 1e10),
-        (-2, (math.log(702) - 0.02, math.log(702) + 0.02, -0.02, 0.02), 1e15),
-        (-2, None, 0.5),
-        (1.004 + 2.9j, None, 1e15),
+    RenderSpec(
+        "exponential", a=a, viewport=viewport, width=48, height=48, max_iter=depth,
+        bailout=bailout,
+    )
+    for a, viewport, depth, bailout in (
+        (-2, (690.0, 710.0, -5.0, 5.0), 60, 1e10),
+        (-2, (math.log(702) - 0.02, math.log(702) + 0.02, -0.02, 0.02), 60, 1e15),
+        (-2, None, 60, 0.5),
+        (1.004 + 2.9j, None, 60, 1e15),
+        (-2, (1.1461932206205827 - 1e-10, 1.1461932206205827 + 1e-10, -1e-10, 1e-10), 4, 1e10),
     )
 )
 
 
 def differential_name(spec: RenderSpec) -> str:
-    """Row name of a grid: map or parameter, depth, and any non-default bailout or viewport."""
+    """Row name of a grid: map or parameter, depth, and any non-default bailout or viewport.
+
+    Viewport bounds print in full (shortest round-trip ``repr``), so grids
+    a few ulps wide keep distinct names.
+    """
     where = f"a={_fmt_complex(spec.a)}," if spec.map_kind == "exponential" else "fatou,"
     name = f"differential[{where}iter={spec.max_iter}"
     if spec.bailout != RenderSpec.bailout:
         name += f",bailout={spec.bailout:g}"
     if spec.viewport != default_viewport(spec.map_kind, spec.a):
-        name += ",viewport=" + ":".join(f"{v:g}" for v in spec.viewport)
+        name += ",viewport=" + ":".join(repr(float(v)) for v in spec.viewport)
     return name + "]"
 
 

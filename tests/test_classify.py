@@ -473,6 +473,57 @@ class TestDirectBound:
         self._assert_matches_search(a, depth, extra)
 
 
+@st.composite
+def _leavers(draw):
+    """``(a, depth, bailout, steps, z, bound)``: orbits leaving at steps ``0 .. depth``.
+
+    Some last direct points have ``Re z > 700`` with ``|z|`` within the
+    bailout and below 1e15, the case the growth model starts from ``(0, Re z)``.
+    """
+    a = draw(st.builds(complex, st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)))
+    depth = draw(st.integers(1, 200))
+    bailout = draw(st.sampled_from([1e-3, 0.5, 34.5, 1e4, 1e10, 1e15]))
+    point = st.one_of(
+        st.builds(complex, st.floats(-1e15, 1e15), st.floats(-1e15, 1e15)),
+        st.builds(complex, st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+        st.builds(complex, st.floats(700.0, 1e4, exclude_min=True), st.floats(-10.0, 10.0)),
+    )
+    orbits = draw(
+        st.lists(st.tuples(st.integers(0, depth), point, st.integers(0, depth)), max_size=24)
+    )
+    steps = np.array([n for n, _, _ in orbits], dtype=np.int64)
+    z = np.array([w for _, w, _ in orbits], dtype=complex)
+    bound = np.array([b for _, _, b in orbits], dtype=np.int64)
+    return a, depth, bailout, steps, z, bound
+
+
+class TestSettleBound:
+    """``_settle_bound`` over many leave steps at once, as the render kernel calls it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_leavers())
+    @example((1.004 + 2.9j, 60, 1e10, np.array([60, 60, 59]), np.array([1e11, 800 + 1j, 3e3]),
+              np.array([57, 0, 2])))
+    @example((-2 + 0j, 60, 1e15, np.array([0, 7, 60]), np.array([701 + 0j, 702 - 3j, 705 + 2j]),
+              np.array([0, 3, 5])))
+    def test_matches_one_call_per_step(self, case):
+        a, depth, bailout, steps, z, bound = case
+        got = classify._settle_bound(a, depth, bailout, steps, z, bound)
+        assert got.shape == z.shape and got.dtype == np.int64
+        want = [
+            int(classify._settle_bound(a, depth, bailout, int(n), z[i : i + 1], bound[i])[0])
+            for i, n in enumerate(steps.tolist())
+        ]
+        assert got.tolist() == want
+
+    def test_empty(self):
+        got = classify._settle_bound(
+            -2 + 0j, 60, 1e10, np.empty(0, dtype=np.int64), np.empty(0, dtype=complex),
+            np.empty(0, dtype=np.int64),
+        )
+        assert got.shape == (0,) and got.dtype == np.int64
+
+
 class TestFindCycle:
     def test_refines_attracting_fixed_point(self):
         cycle, mult = find_cycle(P2, -1.8 + 0j, 1)

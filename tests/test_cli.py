@@ -495,6 +495,17 @@ class TestVerifyCommand:
         assert len(set(names)) == len(names)
         assert "differential[a=-2+0i,iter=60,bailout=0.5]" in names
 
+    def test_differential_row_names_give_the_viewport(self):
+        # bounds 2e-10 apart still read back as the grid's own viewport
+        named = 0
+        for spec in verify.DIFFERENTIAL_GRIDS:
+            name = verify.differential_name(spec)
+            if ",viewport=" in name:
+                bounds = name.rstrip("]").split(",viewport=")[1].split(":")
+                assert tuple(map(float, bounds)) == spec.viewport
+                named += 1
+        assert named == 3
+
     def test_differential_suite_fails_on_a_wrong_pixel(self, capsys, monkeypatch):
         tags, exits = raster.classify_grid(SMALL_DIFFERENTIAL, workers=1)
         tags[3, 2] = raster.TAG_UNDECIDED

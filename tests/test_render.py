@@ -3,6 +3,7 @@
 import cmath
 import hashlib
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -35,7 +36,7 @@ from expbouquet.render import (
     _trapping_discs,
 )
 from expbouquet.towerfloat import exp_plus_array
-from test_classify import _classify_point_eager
+from test_classify import REPELLING_FP, _classify_point_eager
 
 SMALL = RenderSpec(
     map_kind="exponential",
@@ -99,6 +100,12 @@ DIFFERENTIAL_SPECS = {
     # 11-13, in the ten steps after max_iter; left of it, the basin
     "leave-after-depth": _exp_spec(
         -2, max_iter=8, viewport=(1.1462, 1.1463, -1e-5, 1e-5), size=12
+    ),
+    # within 1e-10 of the repelling fixed point: every seed passes the q = 1
+    # test at max_iter, so the cut at max_iter keeps all of them, and fails
+    # it at max_iter + 10 (NonEscapingBounded, by the scalar track)
+    "cut-keeps-repelling-fixed-point": _exp_spec(
+        -2, max_iter=4, viewport=_around(REPELLING_FP, 1e-10), size=12
     ),
     # the cell centre is R = 4, past the bailout at step 0: the model tower
     # e^4 + |a| equals M(R) exactly, so fast only with the growth model's |a|
@@ -511,6 +518,28 @@ class TestKernelWork:
         escaping = int(np.count_nonzero(exits >= 0))
         assert escaping > 0
         assert sum(sizes) <= 4 * escaping
+
+    @pytest.mark.parametrize(
+        "a, viewport",
+        [*((a, None) for a in FIGURE_PARAMS), (-2, (701.0, 709.0, -1.0, 1.0))],
+        ids=[*(f"a={a}" for a in FIGURE_PARAMS), "all-escaping"],
+    )
+    def test_one_settle_per_block(self, monkeypatch, a, viewport):
+        # The pixels that exit within max_iter are settled together at the
+        # end of their block, not in one call per step that has leavers.
+        sizes = []
+        settle = classify._settle_bound
+
+        def counting(a, depth, bailout, n, z, bound):
+            sizes.append(z.size)
+            return settle(a, depth, bailout, n, z, bound)
+
+        # by module object: the package's ``render`` attribute is the function
+        monkeypatch.setattr(sys.modules["expbouquet.render"], "_settle_bound", counting)
+        spec = _exp_spec(a, max_iter=60, size=64, viewport=viewport)
+        _, exits = classify_grid(spec, workers=1)
+        assert len(sizes) <= -(-spec.height // _block_rows(spec))
+        assert sum(sizes) == np.count_nonzero(exits >= 0) > 0
 
 
 class TestFatouRendering:
