@@ -8,19 +8,27 @@ Each kernel iterates only the pixels that still need a step: the
 exponential kernel keeps one direct set (points evaluated with ``exp``)
 that a pixel leaves on the scalar track's switch rules, its fast-escape
 offset settled at the end of its block, with every other leaver's, by
-the scalar classifier's own offset routine; or when it is trapped near an
-attracting cycle and retired as ``Basin`` (:func:`_trapping_discs`); or
-at ``max_iter`` when it fails every period test that a ``Basin`` tag
-needs.  The drift kernel keeps a live set that
-pixels leave on underflow or certified escape.  The grid is cut into fixed
-horizontal blocks that are pure functions of the render description, so
-output bytes are identical across runs, worker counts and scheduling orders.
+the scalar classifier's own offset routine; or when it is trapped in a
+nested chain of discs about an attracting cycle and retired as ``Basin``
+(:func:`_trapping_discs`); or when it lands exactly on the singular value
+``a`` and takes the singular orbit's tag (:func:`_singular_tags`); or at
+``max_iter`` when it fails every period test that a ``Basin`` tag needs.
+The two early cuts keep the bytes of the full pass: a disc pixel reaches
+the level-0 discs by ``max_iter - p`` and then passes the period-``p``
+test, and a pixel on ``a`` repeats the singular orbit bit for bit, up to
+the sign of a zero (:func:`_exp_block` has both arguments).  The drift
+kernel keeps a live set that pixels leave on underflow or certified
+escape.  The grid is cut into fixed horizontal blocks that are pure
+functions of the render description, so output bytes are identical across
+runs, worker counts and scheduling orders; pool workers write their blocks
+into shared memory (:func:`classify_grid`).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import mmap
 import multiprocessing
 import operator
 import os
@@ -31,7 +39,7 @@ from itertools import accumulate
 import numpy as np
 
 from .classify import ATTRACT_CUT, CYCLE_DETECT_TOL, Attracting, classify_param
-from .classify import _UNIT_ROUNDOFF, _direct_bound, _settle_bound
+from .classify import _UNIT_ROUNDOFF, _direct_bound, _domination_table, _settle_bound
 from .expmap import MAG_GUARD, RE_OVERFLOW, Params
 from .fatoufn import BOUNDED_BOX, DRIFT_THRESHOLD, DRIFT_WINDOW, _RE_UNDERFLOW
 
@@ -148,58 +156,132 @@ def _pixel_centers(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndar
 @lru_cache(maxsize=None)
 def _trapping_discs(
     a: complex, depth: int, bailout: float
-) -> tuple[tuple[complex, ...], tuple[float, ...]] | None:
-    """Discs ``|w - c_i| <= rho_i`` that trap the attracting cycle of ``a``: ``(cycle, radii)``.
+) -> tuple[tuple[complex, ...], tuple[tuple[float, ...], ...]] | None:
+    """Nested disc chains that trap the attracting cycle of ``a``: ``(cycle, levels)``.
 
     The centres are the ``Attracting`` cycle ``c_0 .. c_{p-1}`` of
-    ``classify_param(Params(a))``.  A point at computed distance ``<= rho_i``
-    from ``c_i`` is within ``r_i = rho_i (1 + 2^-40)`` of it, and then
-    ``np.exp(w) + a`` is within ``rho_{i+1}`` of ``c_{i+1}`` (indices mod
-    ``p``): ``|e^w - e^{c_i}| <= e^{Re c_i} expm1(r_i)``, the float
-    ``c_{i+1}`` misses ``f(c_i)`` by ``|fl f(c_i) - c_{i+1}|``, and
-    ``np.exp(w) + a`` and ``cmath.exp(c_i) + a`` each round by less than
-    ``16u (e^{Re c_i + r_i} + |a| + |c_{i+1}| + 1)`` (each component of a
-    complex ``exp`` is within a few ulps of ``e^{Re w}``, adding ``a``
-    rounds once).  ``rho_{i+1}`` is that sum, widened by ``1 + 2^-40`` for
-    its own rounding.  ``rho_0`` makes the largest radius about
-    ``CYCLE_DETECT_TOL / 4``.  The chain must close, ``rho_p <= rho_0``,
-    which radii this small can because ``prod e^{Re c_i} = |lambda| < 1``.
+    ``classify_param(Params(a))``; ``levels[j]`` holds the radii
+    ``rho^(j)_0 .. rho^(j)_{p-1}`` of the discs ``D^(j)_i = {|w - c_i| <=
+    rho^(j)_i}``.  A point at computed distance ``<= rho_i`` from ``c_i`` is
+    within ``r_i = rho_i (1 + 2^-40)`` of it, and then ``np.exp(w) + a`` is
+    within ``rho_{i+1}`` of ``c_{i+1}`` (indices mod ``p``): ``|e^w -
+    e^{c_i}| <= e^{Re c_i} expm1(r_i)``, the float ``c_{i+1}`` misses
+    ``f(c_i)`` by ``|fl f(c_i) - c_{i+1}|``, and ``np.exp(w) + a`` and
+    ``cmath.exp(c_i) + a`` each round by less than ``16u (e^{Re c_i + r_i}
+    + |a| + |c_{i+1}| + 1)`` (each component of a complex ``exp`` is within
+    a few ulps of ``e^{Re w}``, adding ``a`` rounds once).  ``rho_{i+1}`` is
+    that sum, widened by ``1 + 2^-40`` for its own rounding.  Every level
+    builds its chain this way; a disc must lie inside the direct track,
+    ``(|c_i| + r_i)(1 + 2^-40) < min(bailout, 1e15)`` and ``Re c_i + r_i <=
+    700``, so no point of it leaves the set.
 
-    None unless it closes, ``p <= min(32, depth)``, ``2 max r_i <
-    CYCLE_DETECT_TOL`` (checked as the chain is built, so no radius past it
-    reaches ``expm1``), ``sum(Re c_i + r_i) + 4(p + 1)u(sum(|Re c_i| + r_i)
-    + 1) < ATTRACT_CUT`` (a float sum of ``p`` terms errs by at most
-    ``gamma_p`` times their absolute sum; Higham, *Accuracy and Stability of
-    Numerical Algorithms*, section 4.2), and no disc point leaves the
-    direct track: ``(|c_i| + r_i)(1 + 2^-40) < min(bailout, 1e15)`` and
-    ``Re c_i + r_i <= 700``.
+    Level 0 starts from the ``rho_0`` that makes the largest radius about
+    ``CYCLE_DETECT_TOL / 4`` and must close into itself, ``rho^(0)_p <=
+    rho^(0)_0``, which radii this small can because ``prod e^{Re c_i} =
+    |lambda| < 1``: a float orbit in ``D^(0)_i`` stays in the level-0 disc
+    of its cycle index for ever.  None unless it closes, ``p <= min(32,
+    depth)``, ``2 max r_i < CYCLE_DETECT_TOL`` (checked as the chain is
+    built, so no radius past it reaches ``expm1``) and ``sum(Re c_i + r_i)
+    + 4(p + 1)u(sum(|Re c_i| + r_i) + 1) < ATTRACT_CUT`` (a float sum of
+    ``p`` terms errs by at most ``gamma_p`` times their absolute sum;
+    Higham, *Accuracy and Stability of Numerical Algorithms*, section 4.2).
+
+    Level ``j >= 1`` starts from ``rho^(j)_0 = 4^j rho^(0)_0`` and must
+    close into level ``j - 1``, ``rho^(j)_p <= rho^(j-1)_0``; levels are
+    added until one fails (``r_i <= 700`` keeps ``expm1`` finite).  A float
+    orbit in ``D^(j)_k`` runs ``p - k`` steps along level ``j`` into
+    ``D^(j-1)_0``, then ``k`` steps along level ``j - 1``: it is in
+    ``D^(j-1)_k`` ``p`` steps later, and in ``D^(0)_k`` ``jp`` steps later.
+    So the kernel retires a pixel found in level ``j`` at step ``n`` with
+    the full pass's bytes when ``n + jp <= max_iter - p``, where the
+    level-0 argument of :func:`_exp_block` takes over.
     """
     verdict = classify_param(Params(a))
     if not isinstance(verdict, Attracting) or verdict.period > min(32, depth):
         return None
     cycle, p = verdict.cycle, verdict.period
     grow = [math.exp(c.real) for c in cycle]  # Re c_i <= 700: find_cycle ran eval_map on each
-    radii = [0.25 * CYCLE_DETECT_TOL / max(accumulate(grow[:-1], operator.mul, initial=1.0))]
-    for i, c in enumerate(cycle):
-        r, c_next = radii[i] * _WIDEN, cycle[(i + 1) % p]
-        if 2.0 * r >= CYCLE_DETECT_TOL:  # also keeps expm1(r) and exp(Re c + r) finite
-            return None
-        eps = 16.0 * _UNIT_ROUNDOFF * (math.exp(c.real + r) + abs(a) + abs(c_next) + 1.0)
-        miss = abs(cmath.exp(c) + a - c_next)
-        radii.append((grow[i] * math.expm1(r) + miss + 2.0 * eps) * _WIDEN)
+    inside = min(bailout, MAG_GUARD)
+
+    def chain(rho: float, cap: float) -> list[float] | None:
+        """Radii ``rho_0 .. rho_p`` from ``rho``; None once a disc breaks ``cap`` or the track."""
+        radii = [rho]
+        for i, c in enumerate(cycle):
+            r, c_next = radii[i] * _WIDEN, cycle[(i + 1) % p]
+            # also keeps expm1(r) and exp(Re c + r) finite
+            if not (r < cap and (abs(c) + r) * _WIDEN < inside and c.real + r <= RE_OVERFLOW):
+                return None
+            eps = 16.0 * _UNIT_ROUNDOFF * (math.exp(c.real + r) + abs(a) + abs(c_next) + 1.0)
+            miss = abs(cmath.exp(c) + a - c_next)
+            radii.append((grow[i] * math.expm1(r) + miss + 2.0 * eps) * _WIDEN)
+        return radii
+
+    rho0 = 0.25 * CYCLE_DETECT_TOL / max(accumulate(grow[:-1], operator.mul, initial=1.0))
+    radii = chain(rho0, 0.5 * CYCLE_DETECT_TOL)  # 2 r_i < CYCLE_DETECT_TOL
+    if radii is None or radii[p] > radii[0]:
+        return None
     wide = [r * _WIDEN for r in radii[:p]]
     window = sum(c.real + r for c, r in zip(cycle, wide))
     size = sum(abs(c.real) + r for c, r in zip(cycle, wide))
-    if (
-        radii[p] <= radii[0]
-        and window + 4.0 * (p + 1) * _UNIT_ROUNDOFF * (size + 1.0) < ATTRACT_CUT
-        and all(
-            (abs(c) + r) * _WIDEN < min(bailout, MAG_GUARD) and c.real + r <= RE_OVERFLOW
-            for c, r in zip(cycle, wide)
-        )
-    ):
-        return cycle, tuple(radii[:p])
-    return None
+    if window + 4.0 * (p + 1) * _UNIT_ROUNDOFF * (size + 1.0) >= ATTRACT_CUT:
+        return None
+    levels = [tuple(radii[:p])]
+    while (radii := chain(4.0 * levels[-1][0], RE_OVERFLOW)) and radii[p] <= levels[-1][0]:
+        levels.append(tuple(radii[:p]))
+    return cycle, tuple(levels)
+
+
+@lru_cache(maxsize=None)
+def _singular_tags(a: complex, depth: int, bailout: float) -> np.ndarray | None:
+    """Tag of a pixel in the set with ``z_s == a``, for ``s = 0 .. max(0, depth - 32)``, or None.
+
+    From step ``s`` on, such a pixel's points are the singular orbit ``w_k
+    = f^k(a)``, computed here by the kernel's own ``np.exp(w) + a``: the
+    two orbits can differ only in the sign of a zero component (``z_s ==
+    a`` compares ``-0.0`` equal to ``0.0``), which no ``abs``, comparison
+    or window sum sees.  If ``w_0 .. w_{depth + 10}`` meet no switch rule,
+    the pixel never leaves (exit -1) and its tag is :func:`_basin_mask` on
+    the tail rows ``w_{t - s}``, ``t = max(0, depth - 32) .. depth + 10``;
+    otherwise None.  One vectorized basin test covers every ``s``: row
+    ``t`` holds ``w_{t - s}`` at position ``s``.  The table is read-only.
+    """
+    total = depth + 10
+    orbit = [np.complex128(a)]
+    with np.errstate(all="ignore"):
+        for _ in range(total):
+            orbit.append(np.exp(orbit[-1]) + a)
+    w = np.array(orbit)
+    mag = np.abs(w)
+    if not np.all((mag <= bailout) & (mag < MAG_GUARD) & (w.real <= RE_OVERFLOW)):
+        return None  # NaN and inf compare false
+    shifts = np.arange(max(0, depth - 32) + 1)
+    rows = [w[t - shifts] for t in range(max(0, depth - 32), total + 1)]
+    tags = np.where(_basin_mask(rows, depth), TAG_BASIN, TAG_BOUNDED).astype(np.uint8)
+    tags.flags.writeable = False
+    return tags
+
+
+def _basin_mask(tail: list[np.ndarray], depth: int) -> np.ndarray:
+    """Positions whose tail rows pass some period test of ``classify_point``'s basin rule.
+
+    ``tail`` holds the points of steps ``max(0, depth - 32) .. depth + 10``,
+    one row per step, in one order.  Position ``i`` passes period ``q <=
+    min(32, depth)`` when its points ``q`` apart are within
+    ``CYCLE_DETECT_TOL`` at ``depth`` and at ``depth + 10``, and the real
+    parts of its last ``q`` points, summed in ascending step order as the
+    scalar classifier sums them term for term, are below ``ATTRACT_CUT``.
+    """
+    z_depth, z_total = tail[-11], tail[-1]  # steps depth and depth + 10
+    basin = np.zeros(z_total.size, dtype=bool)
+    for q in range(1, min(32, depth) + 1):
+        close = np.flatnonzero(~basin & (np.abs(z_depth - tail[-11 - q]) < CYCLE_DETECT_TOL))
+        close = close[np.abs(z_total[close] - tail[-1 - q][close]) < CYCLE_DETECT_TOL]
+        if close.size:
+            acc = tail[-1 - q].real[close]
+            for row in tail[-q:-1]:
+                acc += row.real[close]
+            basin[close[acc < ATTRACT_CUT]] = True
+    return basin
 
 
 def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -250,17 +332,33 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     ``NonEscapingBounded`` with exit -1 as in the full pass.
 
     With :func:`_trapping_discs` around an attracting ``p``-cycle, a
-    pixel whose ``z_n`` lies in the largest disc ``D_k`` at a step
-    ``n <= max_iter - p`` is retired: cut from the set, tagged ``Basin``
-    with exit -1, skipped by basin detection.  A trapped orbit visits
-    ``D_k`` every ``p`` steps, so it retires at most ``p - 1`` steps late.
-    The bytes are those of the full pass: every later float point stays in
-    the disc of its cycle index, so the pixel never leaves (no exit), and
-    the ``q = p`` test passes at ``max_iter`` and ``max_iter + 10``: the
-    compared points share a disc, discs are narrower than
-    ``CYCLE_DETECT_TOL``, and the window sums below ``ATTRACT_CUT``.  The
-    tag does not record ``q``.  The scalar ``classify_point`` does not
-    retire: it is this rule's independent oracle.
+    pixel whose ``z_n`` lies at a step ``n <= max_iter - p`` in the largest
+    disc ``D^(j)_k`` of level ``j = min(J, (max_iter - n) // p - 1)`` (one
+    disc test per step) is retired: cut from the set, tagged ``Basin`` with
+    exit -1, skipped by basin detection.  The bytes are those of the full
+    pass.  Its orbit runs through the discs of level ``j``, then ``j - 1``
+    and so on, all inside the direct track, so it never leaves (no exit),
+    and is in the level-0 disc ``D^(0)_k`` by step ``n + jp <= max_iter -
+    p``.  From there every float point stays in the level-0 disc of its
+    cycle index, and the ``q = p`` test passes at ``max_iter`` and
+    ``max_iter + 10``: the compared points share a level-0 disc, those
+    discs are narrower than ``CYCLE_DETECT_TOL``, and the window sums below
+    ``ATTRACT_CUT``.  The tag does not record ``q``.
+
+    A pixel still in the set at a step ``s <= max(0, max_iter - 32)`` with
+    ``z_s == a`` is cut too, with exit -1 and the tag that
+    :func:`_singular_tags` gives for ``s``, when that table exists.  The
+    bytes are those of the full pass: its later points are the singular
+    orbit's, computed by the same ``np.exp(z) + a``, up to the sign of a
+    zero component, which no ``abs``, comparison or window sum sees.  The
+    table exists only if the singular orbit meets no switch rule through
+    step ``max_iter + 10``, so the pixel never leaves; and ``s <= max_iter
+    - 32`` puts every tail row basin detection reads at a step ``>= s``,
+    on the singular orbit, where the table ran the same basin test
+    (:func:`_basin_mask`) on the same points.  A pixel that is both in a
+    disc and on ``a`` gets ``Basin`` from both.  The scalar
+    ``classify_point`` takes neither shortcut: it is their independent
+    oracle.
     """
     a = spec.a
     depth = spec.max_iter
@@ -275,11 +373,17 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     tail = []  # z at steps max(0, max_iter - 32) .. total, in set order
 
     discs = _trapping_discs(a, depth, spec.bailout)
-    last_retire = -1  # retire into the largest disc D_k at steps n <= last_retire
+    last_retire = -1  # retire into a largest disc at steps n <= last_retire
     if discs is not None:
-        i = int(np.argmax(discs[1]))
-        ck, rk, mk = discs[0][i], discs[1][i], abs(discs[0][i])
-        last_retire = depth - len(discs[0])
+        cycle, levels = discs
+        p = len(cycle)
+        largest = []  # per level: centre, radius and centre modulus of its largest disc
+        for radii in levels:
+            i = int(np.argmax(radii))
+            largest.append((cycle[i], radii[i], abs(cycle[i])))
+        last_retire = depth - p
+    singular = _singular_tags(a, depth, spec.bailout)
+    last_singular = -1 if singular is None else max(0, depth - 32)
 
     # The direct set in set order: pixel[i] is the raster index of position
     # i, whose point is z[i].  Tags and exits are in raster order.
@@ -306,14 +410,26 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                     exits[pixel[out]] = np.where(past[exiting], n, n + 1)
                     leavers.append((n, pixel[out], z[out], offset[out]))
             gone = cand[leave]  # sorted positions to cut from the set
+            retired = []  # positions whose verdict is fixed at this step
             if n <= last_retire:
+                # a pixel in level j at step n is in level 0 by step
+                # n + jp <= max_iter - p
+                ck, rk, mk = largest[min(len(largest) - 1, (depth - n) // p - 1)]
                 # |z - c_k| >= ||z| - |c_k||: the complex distance runs on
                 # the pixels the moduli leave in reach only.
                 near = np.flatnonzero(np.abs(az - mk) <= rk)
                 near = near[np.abs(z[near] - ck) <= rk]
                 tags[pixel[near]] = TAG_BASIN
+                retired.append(near)
+            if n <= last_singular:
+                hit = np.flatnonzero(z == a)
+                tags[pixel[hit]] = singular[n]
+                retired.append(hit)
+            if retired:
                 cut = np.zeros(z.size, dtype=bool)
-                cut[gone] = cut[near] = True
+                cut[gone] = True
+                for positions in retired:
+                    cut[positions] = True
                 gone = np.flatnonzero(cut)
             elif n == depth:
                 # Only pixels with |z_max_iter - z_{max_iter-q}| < tol for
@@ -351,19 +467,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
             tags[np.concatenate(out)] = np.where(ell <= depth - 3, TAG_FAST, TAG_SLOW)
 
         # Basin detection on the set left: the pixels that never left.
-        z_depth, z_total = tail[-11], tail[-1]  # steps max_iter and total
-        todo = np.ones(pixel.size, dtype=bool)  # not yet tagged Basin
-        for q in range(1, min(32, depth) + 1):
-            close = np.flatnonzero(todo & (np.abs(z_depth - tail[-11 - q]) < CYCLE_DETECT_TOL))
-            close = close[np.abs(z_total[close] - tail[-1 - q][close]) < CYCLE_DETECT_TOL]
-            # Ascending sequential window sum, matching the scalar
-            # classifier's summation order term for term.
-            acc = tail[-1 - q].real[close]
-            for row in tail[-q:-1]:
-                acc += row.real[close]
-            basin = close[acc < ATTRACT_CUT]
-            tags[pixel[basin]] = TAG_BASIN
-            todo[basin] = False
+        tags[pixel[_basin_mask(tail, depth)]] = TAG_BASIN
 
     return tags.reshape(-1, spec.width), exits.reshape(-1, spec.width)
 
@@ -412,13 +516,25 @@ def _fatou_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarra
     return tags.reshape(rows, spec.width), exits.reshape(rows, spec.width)
 
 
-def _classify_block(args: tuple[RenderSpec, int, int]) -> tuple[int, np.ndarray, np.ndarray]:
-    spec, y_start, y_stop = args
-    if spec.map_kind == "exponential":
-        tags, exits = _exp_block(spec, y_start, y_stop)
-    else:
-        tags, exits = _fatou_block(spec, y_start, y_stop)
-    return y_start, tags, exits
+# The (tags, exits) arrays that a pool worker fills, set by its initializer.
+_worker_out: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _attach(out: tuple[np.ndarray, np.ndarray]) -> None:
+    """Pool initializer: keep the shared result arrays for :func:`_fill_shared`."""
+    global _worker_out
+    _worker_out = out
+
+
+def _fill(out: tuple[np.ndarray, np.ndarray], spec: RenderSpec, y_start: int, y_stop: int) -> None:
+    """Classify rows ``[y_start, y_stop)`` into the (tags, exits) arrays ``out``."""
+    kernel = _exp_block if spec.map_kind == "exponential" else _fatou_block
+    tags, exits = out
+    tags[y_start:y_stop], exits[y_start:y_stop] = kernel(spec, y_start, y_stop)
+
+
+def _fill_shared(block: tuple[RenderSpec, int, int]) -> None:
+    _fill(_worker_out, *block)
 
 
 def classify_grid(spec: RenderSpec, workers: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -426,7 +542,23 @@ def classify_grid(spec: RenderSpec, workers: int | None = None) -> tuple[np.ndar
 
     Returns (tags, exits) of shape (height, width); exits hold -1 where
     the orbit never crossed the bailout.  ``workers`` affects speed only,
-    never output bytes.
+    never output bytes: the blocks are fixed by the render description,
+    and each block's pixels are a pure function of it.  That covers the
+    kernel's two early cuts, which give the tag and exit of the full pass
+    (:func:`_exp_block` has the arguments).  A pixel retired into a disc of
+    level ``j`` of :func:`_trapping_discs` at step ``n`` reaches level 0 by
+    step ``n + jp <= max_iter - p``, never leaves, and passes the
+    period-``p`` test at ``max_iter`` and ``max_iter + 10``.  A pixel cut
+    at ``z_s == a`` repeats the singular orbit bit for bit, up to the sign
+    of a zero, so :func:`_singular_tags` ran the kernel's own basin test on
+    its tail rows.
+
+    With a pool, the parent builds the parameter's caches (trapping discs,
+    singular-orbit table, domination table) before it forks, so the workers
+    inherit them, and the workers write their blocks straight into an
+    anonymous shared mapping, handed to them by the pool initializer; no
+    block is sent back through a pipe.  An error in a block propagates, and
+    the pool's workers are stopped and reaped.
     """
     if workers is None:
         try:
@@ -435,17 +567,24 @@ def classify_grid(spec: RenderSpec, workers: int | None = None) -> tuple[np.ndar
             workers = os.cpu_count() or 1
     rows = _block_rows(spec)
     blocks = [(spec, y, min(y + rows, spec.height)) for y in range(0, spec.height, rows)]
-    tags = np.empty((spec.height, spec.width), dtype=np.uint8)
-    exits = np.empty((spec.height, spec.width), dtype=np.int64)
+    shape = (spec.height, spec.width)
     if workers <= 1 or len(blocks) == 1:
-        results = map(_classify_block, blocks)
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(workers, len(blocks))) as pool:
-            results = pool.map(_classify_block, blocks, chunksize=1)
-    for y_from, btags, bexits in results:
-        tags[y_from : y_from + btags.shape[0]] = btags
-        exits[y_from : y_from + bexits.shape[0]] = bexits
+        out = np.empty(shape, dtype=np.uint8), np.empty(shape, dtype=np.int64)
+        for block in blocks:
+            _fill(out, *block)
+        return out
+    if spec.map_kind == "exponential":
+        _trapping_discs(spec.a, spec.max_iter, spec.bailout)
+        _singular_tags(spec.a, spec.max_iter, spec.bailout)
+        _domination_table(spec.a, spec.max_iter)
+    npix = spec.height * spec.width
+    # exits (int64), then tags; the returned arrays keep the mapping alive
+    shared = mmap.mmap(-1, 9 * npix)
+    exits = np.frombuffer(shared, dtype=np.int64, count=npix).reshape(shape)
+    tags = np.frombuffer(shared, dtype=np.uint8, count=npix, offset=8 * npix).reshape(shape)
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(min(workers, len(blocks)), _attach, ((tags, exits),)) as pool:
+        pool.map(_fill_shared, blocks, chunksize=1)
     return tags, exits
 
 

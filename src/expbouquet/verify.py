@@ -473,8 +473,12 @@ def suite_figures(threads: int | None = None) -> list[Check]:
 #: track's branch boundaries: seeds on both sides of ``Re z = 700``, first
 #: iterates on both sides of it (``e^z - 2 = 700`` at ``z = ln 702``), a
 #: bailout below ``R`` (towers take several steps to settle) and ``1e15``,
-#: and seeds within 1e-10 of the repelling fixed point of ``a = -2`` that all
-#: pass the period-1 test at ``max_iter`` 4 and fail it 10 steps later.
+#: seeds within 1e-10 of the repelling fixed point of ``a = -2`` that all
+#: pass the period-1 test at ``max_iter`` 4 and fail it 10 steps later, and
+#: seeds about ``ln 800 + i pi`` whose ``z_2`` is the singular value ``a``
+#: exactly: the kernel cuts them at step 2 by the singular orbit's tag at
+#: ``a = 1.004+2.9i``, ``max_iter`` 34 and at ``a = -2-0i`` (a signed zero),
+#: and iterates them at ``a = 0.3``, whose singular orbit escapes.
 DIFFERENTIAL_GRIDS = tuple(
     RenderSpec(map_kind=kind, a=a, width=48, height=48, max_iter=depth)
     for kind, params in (
@@ -494,6 +498,11 @@ DIFFERENTIAL_GRIDS = tuple(
         (-2, None, 60, 0.5),
         (1.004 + 2.9j, None, 60, 1e15),
         (-2, (1.1461932206205827 - 1e-10, 1.1461932206205827 + 1e-10, -1e-10, 1e-10), 4, 1e10),
+        *(
+            (a, (math.log(800) - 0.01, math.log(800) + 0.01, math.pi - 0.01, math.pi + 0.01),
+             depth, 1e10)
+            for a, depth in ((1.004 + 2.9j, 34), (complex(-2, -0.0), 60), (0.3, 60))
+        ),
     )
 )
 

@@ -504,7 +504,7 @@ class TestVerifyCommand:
                 bounds = name.rstrip("]").split(",viewport=")[1].split(":")
                 assert tuple(map(float, bounds)) == spec.viewport
                 named += 1
-        assert named == 3
+        assert named == 6
 
     def test_differential_suite_fails_on_a_wrong_pixel(self, capsys, monkeypatch):
         tags, exits = raster.classify_grid(SMALL_DIFFERENTIAL, workers=1)

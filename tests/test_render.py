@@ -3,6 +3,7 @@
 import cmath
 import hashlib
 import math
+import multiprocessing
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -62,10 +63,15 @@ def _around(c, half):
 # and the cycle point of 5+3.14i that is not a itself.
 C_MINUS_2 = complex(-1.8414056604369606)
 C_5_314 = complex(-143.41297087425414, 3.3763706506897426)
+# The centre of the largest level-1 disc of the 26-cycle of 1.004+2.9i.
+C_26 = complex(-9.565668510316987, -0.4809847589928222)
 # A cycle point two steps after a, for a 5-cycle that also visits -3.7e13+8.6e13i.
 A_FAR_LEFT = complex(4.082025805900676, -4.651131102089052)
 C_FAR_LEFT = complex(3.362369758871525, -6.051336572262661)
 FIGURE_PARAMS = (-2 + 0j, 5 + 3.14j, 2.06 + 1.57j, 1.004 + 2.9j)
+# e^z = -800 here, so z_1 = a - 800 and e^{z_1} + a = a: z_2 is the singular
+# value exactly (the real part of z_1 is far below the underflow of exp)
+SINGULAR_SEED = complex(math.log(800), math.pi)
 
 
 # Scalar/grid differential: SMALL, 24x24 grids of the four figure parameters
@@ -142,6 +148,15 @@ DIFFERENTIAL_SPECS = {
     "disc-preimage-iter-1": _exp_spec(
         -2, max_iter=1, size=12, viewport=_around(C_MINUS_2 + 2j * math.pi, 1e-6)
     ),
+    # Seeds 0.99e-6 to 1e-6 from C_26, inside its level-1 disc (radius 1e-6),
+    # at max_iter = p = 26: the multiplier is -0.0096-0.042i, so z_26 - z_0
+    # is about 1.01 (z_0 - C_26) and the q = 26 test fails at max_iter.
+    # They stay NonEscapingBounded; retiring them one level early (level 1
+    # at step 0, which reaches level 0 only at max_iter) would tag them Basin.
+    "disc-level-1-edge-iter-26": _exp_spec(
+        1.004 + 2.9j, max_iter=26, size=12,
+        viewport=(C_26.real + 0.99e-6, C_26.real + 1e-6, C_26.imag - 5e-9, C_26.imag + 5e-9),
+    ),
     # a uniform disc radius retires pixels here that stay NonEscapingBounded
     **{
         f"a=1.004+2.9i-iter200-bailout-{bailout:g}": _exp_spec(
@@ -162,6 +177,22 @@ DIFFERENTIAL_SPECS = {
     "a=1.004+2.9i-leave-in-tail": _exp_spec(
         1.004 + 2.9j, max_iter=60, size=40, viewport=(0.5, 0.6, -1.2, -1.1)
     ),
+    # Seeds whose z_2 is the singular value a exactly.  From step 2 on they
+    # follow the singular orbit: at a = 1.004+2.9i the kernel cuts them at
+    # step 2 when 2 <= max_iter - 32 (iter 34), and iterates them at iter 33;
+    # a = -2-0i has a signed zero; the singular orbit of 0.3 escapes, so
+    # there is no table and they are iterated.
+    **{
+        f"singular-value-{name}": _exp_spec(
+            a, max_iter=max_iter, size=12, viewport=_around(SINGULAR_SEED, 0.01)
+        )
+        for name, a, max_iter in (
+            ("iter-34", 1.004 + 2.9j, 34),
+            ("iter-33", 1.004 + 2.9j, 33),
+            ("signed-zero", complex(-2, -0.0), 60),
+            ("escapes", 0.3, 60),
+        )
+    },
     # an attracting 5-cycle with a point at Re c = -3.7e13: its disc radii
     # grow past the range of expm1, so there are no discs; at a 1e15
     # bailout half the seeds about c_2 are Basin
@@ -344,17 +375,44 @@ class TestClassificationColors:
             )
 
 
+def _render_module():
+    # by module object: the package's ``render`` attribute is the function
+    return sys.modules["expbouquet.render"]
+
+
+def _assert_figures_unchanged(monkeypatch, workers, name, replacement):
+    """The four figure parameters at 64² classify alike with render.<name> replaced."""
+    specs = [_exp_spec(a, max_iter=60, size=64) for a in FIGURE_PARAMS]
+    want = [classify_grid(spec, workers=workers) for spec in specs]
+    monkeypatch.setattr(_render_module(), name, replacement)
+    for spec, (tags, exits) in zip(specs, want):
+        got_tags, got_exits = classify_grid(spec, workers=workers)
+        assert np.array_equal(got_tags, tags) and np.array_equal(got_exits, exits), spec.a
+
+
 class TestTrappingDiscs:
     @pytest.mark.parametrize("a", FIGURE_PARAMS)
     def test_every_figure_parameter_has_discs(self, a):
-        cycle, radii = _trapping_discs(a, 60, 1e10)
+        cycle, levels = _trapping_discs(a, 60, 1e10)
+        radii = levels[0]
         assert len(cycle) == {-2: 1, 5 + 3.14j: 2, 2.06 + 1.57j: 3, 1.004 + 2.9j: 26}[a]
         assert 2 * max(radii) < CYCLE_DETECT_TOL
 
     def test_largest_discs_are_the_documented_centres(self):
         for a, centre in ((-2 + 0j, C_MINUS_2), (5 + 3.14j, C_5_314)):
-            cycle, radii = _trapping_discs(a, 60, 1e10)
+            cycle, levels = _trapping_discs(a, 60, 1e10)
+            radii = levels[0]
             assert cycle[int(np.argmax(radii))] == centre
+        cycle, levels = _trapping_discs(1.004 + 2.9j, 26, 1e10)
+        assert cycle[int(np.argmax(levels[1]))] == C_26
+
+    @pytest.mark.parametrize("a", [-2 + 0j, 2.06 + 1.57j])
+    def test_levels_nest_by_factors_of_four(self, a):
+        cycle, levels = _trapping_discs(a, 60, 1e10)
+        assert len(levels) - 1 >= 5
+        for j, radii in enumerate(levels):
+            assert len(radii) == len(cycle)
+            assert radii[0] == 4.0**j * levels[0][0]
 
     @pytest.mark.parametrize(
         "a, depth, bailout",
@@ -378,7 +436,7 @@ class TestTrappingDiscs:
     def test_no_discs(self, a, depth, bailout):
         assert _trapping_discs(a, depth, bailout) is None
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from(FIGURE_PARAMS),
         st.data(),
@@ -388,18 +446,65 @@ class TestTrappingDiscs:
         ),
     )
     def test_float_orbits_stay_in_their_discs(self, a, data, polar):
-        # Points up to the edge of D_i, stepped as the kernel steps them, stay
-        # in D_{i+1 mod p}: the radii carry the rounding of np.exp(w) + a.
-        cycle, radii = _trapping_discs(a, 60, 1e10)
+        # Points up to the edge of D^(j)_i, stepped as the kernel steps them:
+        # at level 0 they stay in D^(0)_{i+n mod p}, since the radii carry the
+        # rounding of np.exp(w) + a; at a level j >= 1 they are in
+        # D^(j-1)_i after p steps.
+        cycle, levels = _trapping_discs(a, 60, 1e10)
         p = len(cycle)
+        j = data.draw(st.integers(0, len(levels) - 1))
         i = data.draw(st.integers(0, p - 1))
-        c, rho = cycle[i], radii[i]
+        c, rho = cycle[i], levels[j][i]
         w = np.array([c + rho * r * cmath.exp(1j * t) for r, t in polar + [(1.0, 0.0)]])
         w = w[np.abs(w - c) <= rho]
+        if j:
+            for _ in range(p):
+                w = np.exp(w) + a
+            assert np.all(np.abs(w - c) <= levels[j - 1][i]), (j, i)
+            return
         for n in range(1, 201):
             w = np.exp(w) + a
-            j = (i + n) % p
-            assert np.all(np.abs(w - cycle[j]) <= radii[j]), (n, j)
+            k = (i + n) % p
+            assert np.all(np.abs(w - cycle[k]) <= levels[0][k]), (n, k)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_level_zero_alone_gives_the_same_bytes(self, monkeypatch, workers):
+        discs = _render_module()._trapping_discs
+
+        def level_zero(a, depth, bailout):
+            cycle, levels = discs(a, depth, bailout)
+            return cycle, levels[:1]
+
+        _assert_figures_unchanged(monkeypatch, workers, "_trapping_discs", level_zero)
+
+
+class TestSingularValueShortcut:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_table_gives_the_same_bytes(self, monkeypatch, workers):
+        _assert_figures_unchanged(
+            monkeypatch, workers, "_singular_tags", lambda a, depth, bailout: None
+        )
+
+    @pytest.mark.parametrize("max_iter, taken", [(34, True), (33, False)])
+    def test_cut_only_up_to_max_iter_minus_32(self, monkeypatch, max_iter, taken):
+        # Every seed has z_2 == a.  A table of Undecided tags shows which
+        # pixels the kernel cut on it: all of them at step 2 <= max_iter - 32.
+        module = _render_module()
+        table = module._singular_tags(1.004 + 2.9j, max_iter, 1e10)
+        assert table is not None and table.size == max_iter - 31
+        monkeypatch.setattr(
+            module, "_singular_tags", lambda a, depth, bailout: np.full_like(table, TAG_UNDECIDED)
+        )
+        spec = DIFFERENTIAL_SPECS[f"singular-value-iter-{max_iter}"]
+        tags, exits = classify_grid(spec, workers=1)
+        assert np.all((tags == TAG_UNDECIDED) == taken)
+        assert np.all(exits == -1)
+
+    def test_no_table_when_the_singular_orbit_leaves(self):
+        module = _render_module()
+        assert module._singular_tags(0.3, 60, 1e10) is None  # escapes
+        assert module._singular_tags(-2, 60, 1.0) is None  # |a| = 2 is past the bailout
+        assert module._singular_tags(-2, 60, 1e10) is not None
 
 
 class TestEscapeCountColoring:
@@ -463,6 +568,34 @@ class TestDeterminism:
         stags, sexits = classify_grid(sub, workers=2)
         assert np.array_equal(ftags[32:96, 24:72], stags)
         assert np.array_equal(fexits[32:96, 24:72], sexits)
+
+
+class TestSharedResults:
+    def test_block_error_propagates_and_workers_are_reaped(self, monkeypatch):
+        module = _render_module()
+        kernel = module._exp_block
+
+        def failing(spec, y_start, y_stop):
+            if y_start:
+                raise RuntimeError(f"block at row {y_start}")
+            return kernel(spec, y_start, y_stop)
+
+        monkeypatch.setattr(module, "_exp_block", failing)
+        spec = _exp_spec(-2, max_iter=20, size=128)  # two 64-row blocks
+        with pytest.raises(RuntimeError, match="block at row 64"):
+            classify_grid(spec, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_more_workers_than_cores_fill_every_block(self):
+        # 16 blocks written into one shared mapping by 8 workers: a lost or
+        # misplaced block write changes the bytes.
+        spec = _exp_spec(1.004 + 2.9j, max_iter=40, size=16, viewport=(-1.0, 3.0, -2.0, 14.0))
+        spec = replace(spec, height=1024)
+        want = classify_grid(spec, workers=1)
+        got = classify_grid(spec, workers=8)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # the mapping reaches the workers through the pool initializer only
+        assert _render_module()._worker_out is None
 
 
 class TestKernelMemory:
@@ -534,8 +667,7 @@ class TestKernelWork:
             sizes.append(z.size)
             return settle(a, depth, bailout, n, z, bound)
 
-        # by module object: the package's ``render`` attribute is the function
-        monkeypatch.setattr(sys.modules["expbouquet.render"], "_settle_bound", counting)
+        monkeypatch.setattr(_render_module(), "_settle_bound", counting)
         spec = _exp_spec(a, max_iter=60, size=64, viewport=viewport)
         _, exits = classify_grid(spec, workers=1)
         assert len(sizes) <= -(-spec.height // _block_rows(spec))
