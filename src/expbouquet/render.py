@@ -261,6 +261,20 @@ def _singular_tags(a: complex, depth: int, bailout: float) -> np.ndarray | None:
     return tags
 
 
+def _exp_caches(spec: RenderSpec) -> tuple[tuple | None, np.ndarray | None]:
+    """The per-parameter caches :func:`_exp_block` reads: ``(discs, singular tags)``.
+
+    Also builds the domination table that the kernel's offset bounds read
+    (:func:`expbouquet.classify._direct_bound`), so one call leaves every
+    cache of the kernel built; pool workers forked after it inherit them.
+    """
+    _domination_table(spec.a, spec.max_iter)
+    return (
+        _trapping_discs(spec.a, spec.max_iter, spec.bailout),
+        _singular_tags(spec.a, spec.max_iter, spec.bailout),
+    )
+
+
 def _basin_mask(tail: list[np.ndarray], depth: int) -> np.ndarray:
     """Positions whose tail rows pass some period test of ``classify_point``'s basin rule.
 
@@ -372,7 +386,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     npix = z.size
     tail = []  # z at steps max(0, max_iter - 32) .. total, in set order
 
-    discs = _trapping_discs(a, depth, spec.bailout)
+    discs, singular = _exp_caches(spec)
     last_retire = -1  # retire into a largest disc at steps n <= last_retire
     if discs is not None:
         cycle, levels = discs
@@ -382,7 +396,6 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
             i = int(np.argmax(radii))
             largest.append((cycle[i], radii[i], abs(cycle[i])))
         last_retire = depth - p
-    singular = _singular_tags(a, depth, spec.bailout)
     last_singular = -1 if singular is None else max(0, depth - 32)
 
     # The direct set in set order: pixel[i] is the raster index of position
@@ -410,7 +423,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                     exits[pixel[out]] = np.where(past[exiting], n, n + 1)
                     leavers.append((n, pixel[out], z[out], offset[out]))
             gone = cand[leave]  # sorted positions to cut from the set
-            retired = []  # positions whose verdict is fixed at this step
+            retired = []  # nonempty arrays of positions whose verdict is fixed now
             if n <= last_retire:
                 # a pixel in level j at step n is in level 0 by step
                 # n + jp <= max_iter - p
@@ -419,12 +432,14 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                 # the pixels the moduli leave in reach only.
                 near = np.flatnonzero(np.abs(az - mk) <= rk)
                 near = near[np.abs(z[near] - ck) <= rk]
-                tags[pixel[near]] = TAG_BASIN
-                retired.append(near)
+                if near.size:
+                    tags[pixel[near]] = TAG_BASIN
+                    retired.append(near)
             if n <= last_singular:
                 hit = np.flatnonzero(z == a)
-                tags[pixel[hit]] = singular[n]
-                retired.append(hit)
+                if hit.size:
+                    tags[pixel[hit]] = singular[n]
+                    retired.append(hit)
             if retired:
                 cut = np.zeros(z.size, dtype=bool)
                 cut[gone] = True
@@ -553,12 +568,12 @@ def classify_grid(spec: RenderSpec, workers: int | None = None) -> tuple[np.ndar
     of a zero, so :func:`_singular_tags` ran the kernel's own basin test on
     its tail rows.
 
-    With a pool, the parent builds the parameter's caches (trapping discs,
-    singular-orbit table, domination table) before it forks, so the workers
-    inherit them, and the workers write their blocks straight into an
-    anonymous shared mapping, handed to them by the pool initializer; no
-    block is sent back through a pipe.  An error in a block propagates, and
-    the pool's workers are stopped and reaped.
+    With a pool, the parent builds the kernel's caches (:func:`_exp_caches`)
+    before it forks, so the workers inherit them, and the workers write
+    their blocks straight into an anonymous shared mapping, handed to them
+    by the pool initializer; no block is sent back through a pipe.  An
+    error in a block propagates, and the pool's workers are stopped and
+    reaped.
     """
     if workers is None:
         try:
@@ -574,9 +589,7 @@ def classify_grid(spec: RenderSpec, workers: int | None = None) -> tuple[np.ndar
             _fill(out, *block)
         return out
     if spec.map_kind == "exponential":
-        _trapping_discs(spec.a, spec.max_iter, spec.bailout)
-        _singular_tags(spec.a, spec.max_iter, spec.bailout)
-        _domination_table(spec.a, spec.max_iter)
+        _exp_caches(spec)  # built once here, inherited by every worker
     npix = spec.height * spec.width
     # exits (int64), then tags; the returned arrays keep the mapping alive
     shared = mmap.mmap(-1, 9 * npix)

@@ -436,7 +436,7 @@ class TestTrappingDiscs:
     def test_no_discs(self, a, depth, bailout):
         assert _trapping_discs(a, depth, bailout) is None
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from(FIGURE_PARAMS),
         st.data(),
@@ -446,26 +446,42 @@ class TestTrappingDiscs:
         ),
     )
     def test_float_orbits_stay_in_their_discs(self, a, data, polar):
-        # Points up to the edge of D^(j)_i, stepped as the kernel steps them:
-        # at level 0 they stay in D^(0)_{i+n mod p}, since the radii carry the
-        # rounding of np.exp(w) + a; at a level j >= 1 they are in
-        # D^(j-1)_i after p steps.
+        # Points up to the edge of D_i, stepped as the kernel steps them, stay
+        # in D_{i+1 mod p}: the radii carry the rounding of np.exp(w) + a.
+        cycle, levels = _trapping_discs(a, 60, 1e10)
+        radii = levels[0]
+        p = len(cycle)
+        i = data.draw(st.integers(0, p - 1))
+        c, rho = cycle[i], radii[i]
+        w = np.array([c + rho * r * cmath.exp(1j * t) for r, t in polar + [(1.0, 0.0)]])
+        w = w[np.abs(w - c) <= rho]
+        for n in range(1, 201):
+            w = np.exp(w) + a
+            j = (i + n) % p
+            assert np.all(np.abs(w - cycle[j]) <= radii[j]), (n, j)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(FIGURE_PARAMS),
+        st.data(),
+        st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)),
+            min_size=1, max_size=16,
+        ),
+    )
+    def test_float_orbits_close_into_the_level_below(self, a, data, polar):
+        # Points up to the edge of D^(j)_i, j >= 1, stepped as the kernel
+        # steps them, are in D^(j-1)_i after p steps.
         cycle, levels = _trapping_discs(a, 60, 1e10)
         p = len(cycle)
-        j = data.draw(st.integers(0, len(levels) - 1))
+        j = data.draw(st.integers(1, len(levels) - 1))
         i = data.draw(st.integers(0, p - 1))
         c, rho = cycle[i], levels[j][i]
         w = np.array([c + rho * r * cmath.exp(1j * t) for r, t in polar + [(1.0, 0.0)]])
         w = w[np.abs(w - c) <= rho]
-        if j:
-            for _ in range(p):
-                w = np.exp(w) + a
-            assert np.all(np.abs(w - c) <= levels[j - 1][i]), (j, i)
-            return
-        for n in range(1, 201):
+        for _ in range(p):
             w = np.exp(w) + a
-            k = (i + n) % p
-            assert np.all(np.abs(w - cycle[k]) <= levels[0][k]), (n, k)
+        assert np.all(np.abs(w - c) <= levels[j - 1][i]), (j, i)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_level_zero_alone_gives_the_same_bytes(self, monkeypatch, workers):
