@@ -303,21 +303,20 @@ def _detect_basin_period(zs: Sequence[complex | None], depth: int) -> Optional[i
     """Smallest period ``q <= 32`` matching the orbit tail, or None.
 
     Requires closeness at ``depth``, stability 10 steps later, and an
-    attracting window multiplier ``|prod exp(z_i)| < 1 - 1e-9``.
+    attracting window multiplier ``|prod exp(z_i)| < 1 - 1e-9``.  ``zs``
+    holds the ``depth + 11`` points of :func:`~expbouquet.expmap._track`,
+    which never comes back after a ``None``: if the last point is not
+    ``None``, none is.
     """
     total = depth + 10
-    if total >= len(zs):
-        total = len(zs) - 1
+    if zs[total] is None:
+        return None
     for q in range(1, min(32, depth) + 1):
         z_d, z_dq = zs[depth], zs[depth - q]
         z_t, z_tq = zs[total], zs[total - q]
-        if z_d is None or z_dq is None or z_t is None or z_tq is None:
-            continue
         if abs(z_d - z_dq) >= CYCLE_DETECT_TOL or abs(z_t - z_tq) >= CYCLE_DETECT_TOL:
             continue
         window = zs[total - q : total]
-        if any(w is None for w in window):
-            continue
         log_mult = sum(w.real for w in window)  # log |prod exp(z_i)|
         if log_mult < ATTRACT_CUT:
             return q

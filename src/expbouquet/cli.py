@@ -3,8 +3,9 @@ trace hairs, and run the verification suites.
 
 Every subcommand is a thin adapter over the library: identical inputs via
 the CLI and via direct calls produce identical results.  Exit codes: 0 on
-success, 2 on argument errors, 1 on runtime errors; errors print a single
-diagnostic line on stderr.  All reals print with 17 significant digits.
+success, 2 on argument errors (every ``ValueError``, so every library
+precondition too), 1 on runtime errors; errors print a single diagnostic
+line on stderr.  All reals print with 17 significant digits.
 
 Options may also come from a ``--config`` file of plain ``key = value``
 lines mirroring the long flag names; flags given on the command line
@@ -28,7 +29,6 @@ from .render import RenderSpec, colorize, csv_text, write_pgm
 from .render import classification_csv, render  # noqa: F401
 from .symbolic import (
     ExternalAddress,
-    PreconditionError,
     endpoint_estimate,
     trace_hair,
 )
@@ -178,7 +178,7 @@ def _merged(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict[s
     if getattr(args, "config", None):
         try:
             raw = _load_config(args.config)
-        except (OSError, ValueError) as exc:
+        except OSError as exc:  # an unreadable config file is an argument error too
             parser.error(str(exc))
         for key, text in raw.items():
             if key not in registry:
@@ -209,19 +209,16 @@ def _require(parser: argparse.ArgumentParser, opts: dict[str, Any], key: str) ->
 def _cmd_render(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     opts = _merged(parser, args)
     out_path = _require(parser, opts, "out")
-    try:
-        spec = RenderSpec(
-            map_kind=opts["map"],
-            a=opts["a"],
-            viewport=opts["viewport"],
-            width=opts["width"],
-            height=opts["height"],
-            max_iter=opts["max_iter"],
-            bailout=opts["bailout"],
-            coloring=opts["coloring"],
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    spec = RenderSpec(
+        map_kind=opts["map"],
+        a=opts["a"],
+        viewport=opts["viewport"],
+        width=opts["width"],
+        height=opts["height"],
+        max_iter=opts["max_iter"],
+        bailout=opts["bailout"],
+        coloring=opts["coloring"],
+    )
     # One classification feeds both outputs.  It is looked up on the module,
     # so a wrapper installed on ``render.classify_grid`` sees this call.
     tags, exits = _raster.classify_grid(spec, workers=opts["threads"])
@@ -236,17 +233,11 @@ def _cmd_classify_point(parser: argparse.ArgumentParser, args: argparse.Namespac
     opts = _merged(parser, args)
     z = _require(parser, opts, "z")
     if opts["map"] == "fatou":
-        try:
-            result = fatou_classify(z, depth=opts["depth"])
-        except ValueError as exc:
-            parser.error(str(exc))
+        result = fatou_classify(z, depth=opts["depth"])
     else:
         a = _require(parser, opts, "a")
-        try:
-            p = Params(a=a)
-            result = classify_point(p, z, depth=opts["depth"], bailout=opts["bailout"])
-        except ValueError as exc:
-            parser.error(str(exc))
+        p = Params(a=a)
+        result = classify_point(p, z, depth=opts["depth"], bailout=opts["bailout"])
     print(report_line(result))
     return 0
 
@@ -254,12 +245,8 @@ def _cmd_classify_point(parser: argparse.ArgumentParser, args: argparse.Namespac
 def _cmd_classify_param(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     opts = _merged(parser, args)
     a = _require(parser, opts, "a")
-    try:
-        p = Params(a=a)
-        result = classify_param(p, max_period=opts["max_period"], depth=opts["depth"])
-    except ValueError as exc:
-        # ValueError out of the classifier is always a precondition failure.
-        parser.error(str(exc))
+    p = Params(a=a)
+    result = classify_param(p, max_period=opts["max_period"], depth=opts["depth"])
     print(report_line(result))
     return 0
 
@@ -268,21 +255,17 @@ def _cmd_trace_hair(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     opts = _merged(parser, args)
     a = _require(parser, opts, "a")
     address = _require(parser, opts, "address")
-    try:
-        p = Params(a=a)
-        if opts["depth"] is not None:
-            point = trace_hair(p, address, depth=opts["depth"], anchor=opts["anchor"])
-        else:
-            point = endpoint_estimate(
-                p,
-                address,
-                tol=opts["tol"],
-                max_depth=opts["max_depth"],
-                anchor=opts["anchor"],
-            )
-    except ValueError as exc:
-        # ValueError out of the tracer is always a precondition failure.
-        parser.error(str(exc))
+    p = Params(a=a)
+    if opts["depth"] is not None:
+        point = trace_hair(p, address, depth=opts["depth"], anchor=opts["anchor"])
+    else:
+        point = endpoint_estimate(
+            p,
+            address,
+            tol=opts["tol"],
+            max_depth=opts["max_depth"],
+            anchor=opts["anchor"],
+        )
     print(
         f"address={point.address} "
         f"z={_fmt_real(point.z.real)},{_fmt_real(point.z.imag)} "
@@ -386,13 +369,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (
-        ConvergenceError,
-        PreconditionError,
-        OverflowError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except ValueError as exc:  # a library precondition (PreconditionError too)
+        return parser._exit_with(str(exc))
+    except (ConvergenceError, OverflowError, OSError) as exc:
         print(f"expbouquet: error: {exc}", file=sys.stderr)
         return 1
 

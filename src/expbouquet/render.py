@@ -13,15 +13,13 @@ nested chain of discs about an attracting cycle and retired as ``Basin``
 (:func:`_trapping_discs`); or when it lands exactly on the singular value
 ``a`` and takes the singular orbit's tag (:func:`_singular_tags`); or at
 ``max_iter`` when it fails every period test that a ``Basin`` tag needs.
-The two early cuts keep the bytes of the full pass: a disc pixel reaches
-the level-0 discs by ``max_iter - p`` and then passes the period-``p``
-test, and a pixel on ``a`` repeats the singular orbit bit for bit, up to
-the sign of a zero (:func:`_exp_block` has both arguments).  The drift
-kernel keeps a live set that pixels leave on underflow or certified
-escape.  The grid is cut into fixed horizontal blocks that are pure
-functions of the render description, so output bytes are identical across
-runs, worker counts and scheduling orders; pool workers write their blocks
-into shared memory (:func:`classify_grid`).
+Every cut keeps the bytes of the full pass; :func:`_exp_block` and
+:func:`_trapping_discs` have the arguments.  The drift kernel keeps a live
+set that pixels leave on underflow or certified escape.  The grid is cut
+into fixed horizontal blocks that are pure functions of the render
+description, so output bytes are identical across runs, worker counts and
+scheduling orders; the blocks are written into shared memory
+(:func:`classify_grid`).
 """
 
 from __future__ import annotations
@@ -119,6 +117,8 @@ class RenderSpec:
             raise ValueError("max_iter must be >= 1")
         if not 0.0 < self.bailout <= MAG_GUARD:
             raise ValueError("bailout must be in (0, 1e15]")
+        if self.map_kind == "exponential":
+            Params(self.a)  # the kernel's parameter check; the drift map ignores a
         object.__setattr__(self, "a", complex(self.a))
 
 
@@ -339,11 +339,11 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     ``max_iter + 10`` test fails there, so only the pixels that never
     left can turn ``Basin``.  They are the set left at the end, and its
     rows hold their points, compared and summed in the same order.  At
-    step ``max_iter`` the set is also cut to the pixels with
-    ``|z_max_iter - z_{max_iter-q}| < CYCLE_DETECT_TOL`` for some
-    ``q <= min(32, max_iter)``: a ``Basin`` tag needs that test, and no
-    exit is written past ``max_iter``, so the others stay
-    ``NonEscapingBounded`` with exit -1 as in the full pass.
+    step ``max_iter`` the pixels that fail ``|z_max_iter - z_{max_iter-q}|
+    < CYCLE_DETECT_TOL`` for every ``q <= min(32, max_iter)`` are retired:
+    a ``Basin`` tag needs that test, and no exit is written past
+    ``max_iter``, so they stay ``NonEscapingBounded`` with exit -1 as in
+    the full pass.
 
     With :func:`_trapping_discs` around an attracting ``p``-cycle, a
     pixel whose ``z_n`` lies at a step ``n <= max_iter - p`` in the largest
@@ -440,20 +440,21 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                 if hit.size:
                     tags[pixel[hit]] = singular[n]
                     retired.append(hit)
+            if n == depth:
+                # Only pixels with |z_max_iter - z_{max_iter-q}| < tol for
+                # some q can turn Basin; the rest stay NonEscapingBounded.
+                keep = np.zeros(z.size, dtype=bool)
+                for row in tail:  # q = 1 .. min(32, max_iter)
+                    keep |= np.abs(z - row) < CYCLE_DETECT_TOL
+                bounded = np.flatnonzero(~keep)
+                if bounded.size:
+                    retired.append(bounded)
             if retired:
                 cut = np.zeros(z.size, dtype=bool)
                 cut[gone] = True
                 for positions in retired:
                     cut[positions] = True
                 gone = np.flatnonzero(cut)
-            elif n == depth:
-                # Only pixels with |z_max_iter - z_{max_iter-q}| < tol for
-                # some q can turn Basin; the rest stay NonEscapingBounded.
-                keep = np.zeros(z.size, dtype=bool)
-                for row in tail:  # q = 1 .. min(32, max_iter)
-                    keep |= np.abs(z - row) < CYCLE_DETECT_TOL
-                keep[gone] = False
-                gone = np.flatnonzero(~keep)
             m = gone.size
             if m:
                 # Staying pixels among the first m move into the slots of
@@ -559,21 +560,16 @@ def classify_grid(spec: RenderSpec, workers: int | None = None) -> tuple[np.ndar
     the orbit never crossed the bailout.  ``workers`` affects speed only,
     never output bytes: the blocks are fixed by the render description,
     and each block's pixels are a pure function of it.  That covers the
-    kernel's two early cuts, which give the tag and exit of the full pass
-    (:func:`_exp_block` has the arguments).  A pixel retired into a disc of
-    level ``j`` of :func:`_trapping_discs` at step ``n`` reaches level 0 by
-    step ``n + jp <= max_iter - p``, never leaves, and passes the
-    period-``p`` test at ``max_iter`` and ``max_iter + 10``.  A pixel cut
-    at ``z_s == a`` repeats the singular orbit bit for bit, up to the sign
-    of a zero, so :func:`_singular_tags` ran the kernel's own basin test on
-    its tail rows.
+    kernel's cuts, which give the tag and exit of the full pass
+    (:func:`_exp_block` and :func:`_trapping_discs` have the arguments).
 
-    With a pool, the parent builds the kernel's caches (:func:`_exp_caches`)
-    before it forks, so the workers inherit them, and the workers write
-    their blocks straight into an anonymous shared mapping, handed to them
-    by the pool initializer; no block is sent back through a pipe.  An
-    error in a block propagates, and the pool's workers are stopped and
-    reaped.
+    Tags and exits are written into one anonymous shared mapping, by the
+    serial path and the pool alike.  With a pool, the parent builds the
+    kernel's caches (:func:`_exp_caches`) before it forks, so the workers
+    inherit them, and the workers write their blocks straight into the
+    mapping, handed to them by the pool initializer; no block is sent back
+    through a pipe.  An error in a block propagates, and the pool's workers
+    are stopped and reaped.
     """
     if workers is None:
         try:
@@ -583,18 +579,17 @@ def classify_grid(spec: RenderSpec, workers: int | None = None) -> tuple[np.ndar
     rows = _block_rows(spec)
     blocks = [(spec, y, min(y + rows, spec.height)) for y in range(0, spec.height, rows)]
     shape = (spec.height, spec.width)
-    if workers <= 1 or len(blocks) == 1:
-        out = np.empty(shape, dtype=np.uint8), np.empty(shape, dtype=np.int64)
-        for block in blocks:
-            _fill(out, *block)
-        return out
-    if spec.map_kind == "exponential":
-        _exp_caches(spec)  # built once here, inherited by every worker
     npix = spec.height * spec.width
     # exits (int64), then tags; the returned arrays keep the mapping alive
     shared = mmap.mmap(-1, 9 * npix)
     exits = np.frombuffer(shared, dtype=np.int64, count=npix).reshape(shape)
     tags = np.frombuffer(shared, dtype=np.uint8, count=npix, offset=8 * npix).reshape(shape)
+    if workers <= 1 or len(blocks) == 1:
+        for block in blocks:
+            _fill((tags, exits), *block)
+        return tags, exits
+    if spec.map_kind == "exponential":
+        _exp_caches(spec)  # built once here, inherited by every worker
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(min(workers, len(blocks)), _attach, ((tags, exits),)) as pool:
         pool.map(_fill_shared, blocks, chunksize=1)

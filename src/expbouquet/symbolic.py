@@ -46,12 +46,14 @@ class PreconditionError(ValueError):
 
 
 def _primitive_root(tail: tuple[int, ...]) -> tuple[int, ...]:
-    """Shortest word whose repetition generates ``tail``."""
+    """Shortest word whose repetition generates ``tail``, which is nonempty.
+
+    ``d = n`` always matches, so the loop always returns.
+    """
     n = len(tail)
     for d in range(1, n + 1):
         if n % d == 0 and tail == tail[: d] * (n // d):
             return tail[:d]
-    return tail
 
 
 @dataclass(frozen=True)
@@ -77,11 +79,10 @@ class ExternalAddress:
         clip = lambda k: max(-MAX_ADDRESS_ENTRY, min(MAX_ADDRESS_ENTRY, k))
         tail = tuple(clip(k) for k in tail)
         prefix = tuple(clip(k) for k in prefix)
-        tail = _primitive_root(tail)
+        tail = _primitive_root(tail)  # its rotations below stay primitive
         while prefix and prefix[-1] == tail[-1]:
             tail = (tail[-1],) + tail[:-1]
             prefix = prefix[:-1]
-        tail = _primitive_root(tail)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "tail", tail)
 
@@ -119,9 +120,7 @@ class ExternalAddress:
             tail = tuple(int(tok) for tok in rep.split(",") if tok.strip() != "")
         except ValueError as exc:
             raise ValueError(f"bad address literal {text!r}") from exc
-        if not tail:
-            raise ValueError(f"address literal needs a nonempty tail: {text!r}")
-        return ExternalAddress(prefix, tail)
+        return ExternalAddress(prefix, tail)  # rejects an empty tail
 
 
 @dataclass(frozen=True)

@@ -45,9 +45,13 @@ LN_H = math.log(H)
 _EXP_DIRECT_MAX = 700.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class TowerReal:
-    """Normalized level-index real: value = exp^level(mantissa)."""
+    """Normalized level-index real: value = exp^level(mantissa).
+
+    Towers order as ``(level, mantissa)`` tuples, which under normalization
+    is the order of their values (the same order as :meth:`cmp`).
+    """
 
     level: int
     mantissa: float
@@ -110,14 +114,12 @@ class TowerReal:
     # ---- arithmetic (exp / ln only) ----
 
     def exp(self) -> "TowerReal":
-        """exp of the represented value.
+        """exp of the represented value: :meth:`exp_plus` with ``c = 0``.
 
         Level >= 1 or mantissa >= ln(H): the level increments and the
         mantissa is preserved exactly (no round trip through float exp).
         """
-        if self.level >= 1 or self.mantissa >= LN_H:
-            return TowerReal(self.level + 1, self.mantissa)
-        return TowerReal(0, math.exp(self.mantissa))  # e^m < H here
+        return self.exp_plus(0.0)
 
     def exp_plus(self, c: float) -> "TowerReal":
         """Tower form of exp(value) + c for c >= 0.
@@ -155,18 +157,6 @@ class TowerReal:
         if self.mantissa != other.mantissa:
             return -1 if self.mantissa < other.mantissa else 1
         return 0
-
-    def __lt__(self, other: "TowerReal") -> bool:
-        return self.cmp(other) < 0
-
-    def __le__(self, other: "TowerReal") -> bool:
-        return self.cmp(other) <= 0
-
-    def __gt__(self, other: "TowerReal") -> bool:
-        return self.cmp(other) > 0
-
-    def __ge__(self, other: "TowerReal") -> bool:
-        return self.cmp(other) >= 0
 
     # ---- conversion / display ----
 

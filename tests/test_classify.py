@@ -13,6 +13,7 @@ from expbouquet import classify, expmap
 from expbouquet.classify import (
     Attracting,
     Basin,
+    ConvergenceError,
     EscapingSlow,
     FastEscaping,
     NonEscapingBounded,
@@ -535,6 +536,18 @@ class TestFindCycle:
         cycle, mult = find_cycle(P2, 1.1 + 0j, 1, tol=1e-13)
         assert cycle[0].real == pytest.approx(REPELLING_FP, abs=1e-12)
         assert abs(mult) > 1.0
+
+    def test_preconditions(self):
+        with pytest.raises(ValueError, match="period"):
+            find_cycle(P2, -1.8 + 0j, 0)
+        for tol in (0.0, -1e-10, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                find_cycle(P2, -1.8 + 0j, 1, tol=tol)
+
+    @pytest.mark.parametrize("z_init, period", [(800 + 0j, 1), (705 + 0j, 2)])
+    def test_overflowing_initial_point(self, z_init, period):
+        with pytest.raises(ConvergenceError, match="initial point overflows"):
+            find_cycle(P2, z_init, period)
 
     def test_multiplier_is_product_of_derivatives(self):
         p = Params(a=5 + 3.14j)

@@ -9,9 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expbouquet import verify
+from expbouquet.classify import ConvergenceError
 from expbouquet.cli import main, parse_complex
 from expbouquet.render import RenderSpec, _block_rows
-from expbouquet.symbolic import ExternalAddress
+from expbouquet.symbolic import ExternalAddress, PreconditionError
 
 # the module (the package attribute ``expbouquet.render`` is the function)
 raster = importlib.import_module("expbouquet.render")
@@ -147,13 +148,19 @@ class TestArgumentErrors:
             ["classify-point", "--z", "1"],
             ["trace-hair", "--address", "|0"],
             ["trace-hair", "--address", "|0", "--depth", "3"],
+            ["render", "--width", "2", "--height", "2", "--out", "x.pgm"],
         ],
-        ids=["classify-param", "classify-point", "trace-hair", "trace-hair-depth"],
+        ids=["classify-param", "classify-point", "trace-hair", "trace-hair-depth", "render"],
     )
-    def test_overflowing_parameter_modulus_is_an_argument_error(self, argv, capsys):
+    def test_overflowing_parameter_modulus_is_an_argument_error(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
         code, out, err = run([*argv, "--a", "1.5e308+1.5e308i"], capsys)
         assert (code, out) == (2, "")
         assert "finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.pgm").exists()
 
     @pytest.mark.parametrize("map_kind", ["exp", "fatou"])
     def test_overflowing_viewport_modulus_is_an_argument_error(self, map_kind, tmp_path, capsys):
@@ -179,6 +186,50 @@ class TestArgumentErrors:
         code, out, _ = run(["--help"], capsys)
         assert code == 0
         assert "render" in out
+
+
+# Each subcommand's library call (module attribute patched) and its argv.
+LIBRARY_CALLS = [
+    ("render", None, ["render", "--width", "2", "--height", "2", "--out", "x.pgm"]),
+    ("classify-point", "classify_point", ["classify-point", "--a", "-2", "--z", "1"]),
+    ("classify-point-fatou", "fatou_classify", ["classify-point", "--map", "fatou", "--z", "1"]),
+    ("classify-param", "classify_param", ["classify-param", "--a", "-2"]),
+    ("trace-hair", "endpoint_estimate", ["trace-hair", "--a", "-2", "--address", "|0"]),
+    ("trace-hair-depth", "trace_hair",
+     ["trace-hair", "--a", "-2", "--address", "|0", "--depth", "3"]),
+    ("verify", "run_suite", ["verify", "tower"]),
+]
+
+
+class TestExitCodeRule:
+    """Every ``ValueError`` is an argument error (2); the runtime errors give 1."""
+
+    @pytest.mark.parametrize(
+        "exc, want",
+        [
+            (ValueError("boom"), 2),
+            (PreconditionError("boom"), 2),
+            (ConvergenceError("boom"), 1),
+            (OverflowError("boom"), 1),
+            (OSError("boom"), 1),
+        ],
+        ids=["ValueError", "PreconditionError", "ConvergenceError", "OverflowError", "OSError"],
+    )
+    @pytest.mark.parametrize("name, target, argv", LIBRARY_CALLS, ids=[c[0] for c in LIBRARY_CALLS])
+    def test_library_error_maps_to_exit_code(
+        self, name, target, argv, exc, want, tmp_path, monkeypatch, capsys
+    ):
+        def fail(*args, **kwargs):
+            raise exc
+
+        if target is None:
+            monkeypatch.setattr(raster, "classify_grid", fail)
+        else:
+            monkeypatch.setattr(f"expbouquet.cli.{target}", fail)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (want, "", "expbouquet: error: boom\n")
+        assert not (tmp_path / "x.pgm").exists()
 
 
 class TestClassifyCommands:
@@ -468,6 +519,31 @@ class TestVerifyCommand:
         assert code == 0
         assert "domination[kappa=1000]: ok" in out
         assert "margin-exact: ok" in out
+
+    @pytest.mark.parametrize(
+        "suite, names",
+        [
+            ("maxmod", ["maxmod-oracle-runtime", "maxmod-growth-runtime"]),
+            ("semiconj", ["semiconj-residual", "semiconj-periodicity",
+                          "semiconj-fixed-points", "semiconj-runtime"]),
+            ("separation", ["endpoint-zero-address", "endpoint-one-address", "endpoint-runtime",
+                            "itinerary-prefixes", "pairwise-separation", "separation-runtime"]),
+        ],
+    )
+    def test_suite_all_ok(self, suite, names, capsys):
+        code, out, _ = run(["verify", suite], capsys)
+        lines = out.strip().splitlines()
+        assert code == 0
+        assert all(": ok (" in line for line in lines)
+        got = [line.split(":")[0] for line in lines]
+        assert [n for n in got if n in names] == names
+
+    def test_differential_row_on_a_small_drift_grid(self):
+        spec = RenderSpec("fatou", width=8, height=6, max_iter=60)
+        name, ok, detail = verify.differential_row(spec)
+        assert (name, ok, detail) == (
+            "differential[fatou,iter=60]", True, "0 of 48 pixels disagree"
+        )
 
     def test_seed_override_via_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("EXPBOUQUET_SEED", "7")

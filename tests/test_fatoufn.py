@@ -40,6 +40,17 @@ class TestEval:
         w = complex(0.3, -0.7)
         assert h_eval(w) == pytest.approx(w * cmath.exp(-w - 1))
 
+    @pytest.mark.parametrize("func", [fatou_eval, h_eval, semiconj_residual])
+    def test_overflow_left_of_minus_700(self, func):
+        assert math.isfinite(abs(func(complex(-700.0, 1.0))))
+        with pytest.raises(OverflowError, match="overflows"):
+            func(complex(-700.5, 1.0))
+
+    def test_residual_overflows_when_the_image_leaves_the_strip(self):
+        # f(-10 + i pi) = -9 - e^10 + i pi
+        with pytest.raises(OverflowError, match="leaves the representable strip"):
+            semiconj_residual(complex(-10.0, math.pi))
+
 
 class TestSemiconjugacy:
     @given(box)
@@ -61,6 +72,12 @@ class TestOrbit:
             (b.z - a.z).real for a, b in zip(samples, samples[1:])
         ]
         assert all(abs(g - 1.0) < 1e-20 for g in gaps)
+
+    def test_stops_after_the_first_sample_past_the_bailout(self):
+        samples = fatou_orbit(60 + 0j, depth=50, bailout=100.0)
+        assert len(samples) == 42
+        assert abs(samples[-2].z) <= 100.0 < abs(samples[-1].z)
+        assert samples[-1].status == "in-range"
 
     def test_underflow_wall_records_one_tower_sample(self):
         samples = fatou_orbit(-800 + 0j, depth=5)
@@ -93,6 +110,12 @@ class TestClassify:
 
     def test_undecided_past_the_underflow_wall(self):
         assert fatou_classify(-800 + 0j) == Undecided()
+
+    @pytest.mark.parametrize("z, depth", [(2e6j, 20), (-20 + 0j, 5)])
+    def test_undecided_past_the_bounded_box_without_a_drift_run(self, z, depth):
+        # |z| passes 1e6, but no run of 10 drifting steps starts within depth
+        assert fatou_classify(z, depth=depth) == Undecided()
+        assert fatou_classify(z, depth=depth + 1000) != Undecided()
 
     def test_translation_invariance_of_verdicts(self):
         step = complex(0.0, 2.0 * math.pi)

@@ -284,6 +284,11 @@ class TestRenderSpec:
             RenderSpec(map_kind="exponential", bailout=1e16)
         with pytest.raises(ValueError):
             RenderSpec(map_kind="exponential", coloring="rainbow")
+        # the exponential kernel's parameter is checked at construction;
+        # the drift map ignores it
+        with pytest.raises(ValueError, match="finite"):
+            RenderSpec(map_kind="exponential", a=complex("nan"))
+        RenderSpec(map_kind="fatou", a=complex("nan"))
 
     @pytest.mark.parametrize("map_kind", ["exponential", "fatou"])
     @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from expbouquet.symbolic import (
     strip_index,
     trace_hair,
 )
+from expbouquet.towerfloat import TowerReal
 
 P2 = Params(a=-2 + 0j)
 
@@ -342,6 +343,23 @@ class TestFindDominationIndex:
             find_domination_index(P2, 10 + 0j, 11 + 0j, 10.0, depth=16)
         with pytest.raises(ValueError):
             find_domination_index(P2, 10 + 0j, fp, -1.0, depth=16)
+
+
+class TestDoublePlus:
+    def test_level_zero(self):
+        assert symbolic._double_plus(TowerReal.from_real(3.0), 1.5) == TowerReal(0, 7.5)
+
+    def test_level_one(self):
+        got = symbolic._double_plus(TowerReal(1, 40.0), 1e3)
+        assert got.level == 1
+        assert got.mantissa == pytest.approx(math.log(2.0 * math.exp(40.0) + 1e3), rel=1e-15)
+        # kappa * e^-745 is far below an ulp of 2, so only log 2 is added
+        want = TowerReal(1, 800.0 + math.log(2.0))
+        assert symbolic._double_plus(TowerReal(1, 800.0), 1e3) == want
+
+    def test_level_two_is_unchanged(self):
+        t = TowerReal(2, 40.0)
+        assert symbolic._double_plus(t, 1e300) == t
 
 
 class TestHairPointsAreNotFastEscaping:

@@ -223,6 +223,15 @@ class TestProperties:
         assert TowerReal.from_real(x).cmp(TowerReal.from_real(y)) == want
 
     @given(representable, representable)
+    def test_rich_comparisons_match_cmp(self, x, y):
+        tx, ty = TowerReal.from_real(x), TowerReal.from_real(y)
+        for t, u in ((tx, ty), (tx.exp(), ty), (tx.exp().exp(), ty.exp())):
+            c = t.cmp(u)
+            assert (t < u, t <= u, t > u, t >= u, t == u) == (
+                c < 0, c <= 0, c > 0, c >= 0, c == 0
+            )
+
+    @given(representable, representable)
     def test_exp_never_inverts_order(self, x, y):
         tx, ty = TowerReal.from_real(x), TowerReal.from_real(y)
         c = tx.exp().cmp(ty.exp())
