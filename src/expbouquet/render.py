@@ -15,7 +15,10 @@ nested chain of discs about an attracting cycle and retired as ``Basin``
 ``max_iter`` when it fails every period test that a ``Basin`` tag needs.
 Every cut keeps the bytes of the full pass; :func:`_exp_block` and
 :func:`_trapping_discs` have the arguments.  The drift kernel keeps a live
-set that pixels leave on underflow or certified escape.  The grid is cut
+set that pixels leave on underflow or certified escape, or once their real
+part alone fixes the verdict: from ``Re z = 36`` on, the exit in closed
+form, and from ``2^53`` on, ``Undecided`` (:func:`_fatou_block` has the
+argument).  The grid is cut
 into fixed horizontal blocks that are pure functions of the render
 description, so output bytes are identical across runs, worker counts and
 scheduling orders; the blocks are written into shared memory
@@ -75,6 +78,12 @@ _MAX_WIDTH = 300_000
 # Outward rounding of a trapping disc: a point whose computed distance to the
 # centre is at most rho lies within rho * _WIDEN of it.
 _WIDEN = 1.0 + 2.0**-40
+
+# Drift map: from Re z = 36 to 2^52 the float real part steps by exactly
+# fl(x + 1), and from 2^53 on it moves at most once (see _fatou_block).
+_SETTLE_RE = 36.0
+_SETTLE_MAX = 2.0**52
+_FROZEN_RE = 2.0**53
 
 
 def default_viewport(map_kind: str, a: complex = 0j) -> tuple[float, float, float, float]:
@@ -372,7 +381,20 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     (:func:`_basin_mask`) on the same points.  A pixel that is both in a
     disc and on ``a`` gets ``Basin`` from both.  The scalar
     ``classify_point`` takes neither shortcut: it is their independent
-    oracle.
+    oracle.  Step 0 compares the whole set with ``a``; a later step
+    compares only the pixels with ``|z_{s-1}| > -T_a``, ``T_a = ln
+    ulp(A) + 1`` for ``A`` the larger of ``|Re a|`` and ``|Im a|``, taken
+    from the previous step's ``|z|`` after its compaction.  ``z_s ==
+    a`` needs both components of ``np.exp(z_{s-1})`` to vanish against
+    ``a``'s, so each is at most ``ulp(A) / 2`` (exactly 0 against a zero
+    component, which ``ulp(0)``, the least subnormal, also bounds); one of
+    them is at least ``e^{Re z_{s-1}} / sqrt 2`` up to a few ulps, so
+    ``Re z_{s-1} < T_a`` (below ``ln ulp(A) - 0.34``).  The table needs
+    ``|a| <= bailout <= 1e15``, so ``ulp(A) <= 1/8`` and ``T_a < 0``,
+    and then ``|z_{s-1}| >= -Re z_{s-1} > -T_a``.
+
+    The loop stops once the set is empty, and basin detection runs only on
+    a nonempty set: an empty set has no step, no tail and no basin left.
     """
     a = spec.a
     depth = spec.max_iter
@@ -397,6 +419,9 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
             largest.append((cycle[i], radii[i], abs(cycle[i])))
         last_retire = depth - p
     last_singular = -1 if singular is None else max(0, depth - 32)
+    # At a step s >= 1 only pixels with |z_{s-1}| past this can have z_s == a.
+    near_a = -1.0 - math.log(math.ulp(max(abs(a.real), abs(a.imag))))
+    on_a = None  # positions of z_s to compare with a; None compares the whole set
 
     # The direct set in set order: pixel[i] is the raster index of position
     # i, whose point is z[i].  Tags and exits are in raster order.
@@ -436,7 +461,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                     tags[pixel[near]] = TAG_BASIN
                     retired.append(near)
             if n <= last_singular:
-                hit = np.flatnonzero(z == a)
+                hit = np.flatnonzero(z == a) if on_a is None else on_a[z[on_a] == a]
                 if hit.size:
                     tags[pixel[hit]] = singular[n]
                     retired.append(hit)
@@ -465,13 +490,16 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                     state[into] = state[stay]
                 pixel, offset, z, az = pixel[m:], offset[m:], z[m:], az[m:]
                 tail = [row[m:] for row in tail]
+            if not pixel.size:
+                break
             if n < depth:
                 np.maximum(offset, _direct_bound(a, depth, n, az), out=offset)
             if n >= depth - 32:  # basin detection reads these steps
                 tail.append(z)
+            if n < last_singular:
+                on_a = np.flatnonzero(az > near_a)
             z = np.exp(z) + a
             az = np.abs(z)
-        tail.append(z)
 
         # One settle for every pixel that exited within max_iter.
         if leavers:
@@ -482,8 +510,11 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
             )
             tags[np.concatenate(out)] = np.where(ell <= depth - 3, TAG_FAST, TAG_SLOW)
 
-        # Basin detection on the set left: the pixels that never left.
-        tags[pixel[_basin_mask(tail, depth)]] = TAG_BASIN
+        # Basin detection on the set left at max_iter + 10: the pixels
+        # that never left (the loop ends early only on an empty set).
+        if pixel.size:
+            tail.append(z)
+            tags[pixel[_basin_mask(tail, depth)]] = TAG_BASIN
 
     return tags.reshape(-1, spec.width), exits.reshape(-1, spec.width)
 
@@ -493,8 +524,35 @@ def _fatou_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarra
 
     Only the live set is iterated: per live pixel its raster index, point,
     drift run and running ``max |z|``.  A pixel leaves it on underflow
-    (``Undecided``) or when its drift run certifies escape (exit recorded);
-    the pass ends at ``max_iter`` or when the set is empty.
+    (``Undecided``), when its drift run certifies escape (exit recorded),
+    or when its exit or its ``Undecided`` tag follows from its real part
+    alone (below); the pass ends at ``max_iter`` or when the set is empty.
+
+    At the top of step ``n`` a live pixel holds ``z = z_{n-1}`` and the
+    run of drifting steps through ``n - 1``.  If ``36 <= x = Re z <=
+    2^52``, every later real part is ``fl(x + 1)`` of the one before,
+    whatever the finite ``Im z`` is: ``|Re e^{-z}| <= e^{-36} ~ 2.3e-16``
+    is below half an ulp of ``fl(x + 1) >= 37`` (``2^-48 ~ 3.6e-15``), so
+    ``(z + 1.0) + exp(-z)`` has real part ``fl(x + 1)``, which is ``> x``
+    and ``>= 36`` again (and ``Im z`` moves by less than 1).  Past 50
+    each step then drifts, so the run reaches ``DRIFT_WINDOW`` after ``10
+    - run`` steps: the exit is ``n - run``.  At ``x <= 50`` the run is 0
+    (a drifting step ends past 50), ``x + k`` is exact in the binade
+    ``[32, 64)`` and ``50 - x`` is exact by Sterbenz, so the real part
+    first passes 50 after ``k* = floor(50 - x) + 1`` steps, and the exit
+    is ``n + k* - 1``.  The pixel is decided at once, with no more complex
+    steps, when that run ends by ``max_iter`` (``exit + DRIFT_WINDOW - 1
+    <= max_iter``): an exited pixel's tag does not read ``max |z|``.
+    Otherwise it keeps iterating, since its tag then depends on ``max
+    |z|``.
+
+    A pixel with ``Re z >= 2^53`` is retired as ``Undecided`` with exit
+    -1: there ``e^{-z}`` is 0 and ``fl(x + 1)`` moves ``x`` at most once
+    (by 2, when ``x`` has an odd last bit; ties round to even), and a run
+    of 2 or more ends at ``2^53`` itself, which never moves, so the run
+    never reaches ``DRIFT_WINDOW``; and ``|z| >= 2^53`` is past
+    ``BOUNDED_BOX``.  ``fatou_classify`` takes neither shortcut: it is
+    their independent oracle.
     """
     depth = spec.max_iter
     xs, ys = _pixel_centers(spec, y_start, y_stop)
@@ -508,10 +566,29 @@ def _fatou_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarra
 
     with np.errstate(all="ignore"):
         for n in range(1, depth + 1):
-            under = z.real < _RE_UNDERFLOW
-            if under.any():
-                live = ~under
-                pixel, z, run, max_abs = pixel[live], z[live], run[live], max_abs[live]
+            x = z.real
+            # the pixels to drop (Re z < -700 or >= 2^53) or to decide in
+            # closed form (36 <= Re z <= 2^52); NaN is neither
+            edge = np.flatnonzero((x < _RE_UNDERFLOW) | (x >= _SETTLE_RE))
+            if edge.size:
+                xe = x[edge]
+                gone = (xe < _RE_UNDERFLOW) | (xe >= _FROZEN_RE)
+                near = np.flatnonzero(
+                    (xe >= _SETTLE_RE) & (xe <= _SETTLE_MAX) & np.isfinite(z.imag[edge])
+                )
+                xn = xe[near]
+                ex = np.where(
+                    xn > DRIFT_THRESHOLD,
+                    n - run[edge[near]],
+                    n + np.floor(DRIFT_THRESHOLD - xn).astype(np.int64),
+                )
+                done = ex + (DRIFT_WINDOW - 1) <= depth
+                exits[pixel[edge[near[done]]]] = ex[done]
+                gone[near[done]] = True
+                if gone.any():
+                    live = np.ones(pixel.size, dtype=bool)
+                    live[edge[gone]] = False
+                    pixel, z, run, max_abs = pixel[live], z[live], run[live], max_abs[live]
             if not pixel.size:
                 break
             w = z + 1.0 + np.exp(-z)

@@ -50,7 +50,7 @@ class TowerReal:
     """Normalized level-index real: value = exp^level(mantissa).
 
     Towers order as ``(level, mantissa)`` tuples, which under normalization
-    is the order of their values (the same order as :meth:`cmp`).
+    is the order of their values; :meth:`cmp` reads the same order.
     """
 
     level: int
@@ -151,12 +151,8 @@ class TowerReal:
     # ---- comparison: lexicographic == value order under normalization ----
 
     def cmp(self, other: "TowerReal") -> int:
-        """-1, 0, or 1 as self <, ==, > other (exact, no tolerance)."""
-        if self.level != other.level:
-            return -1 if self.level < other.level else 1
-        if self.mantissa != other.mantissa:
-            return -1 if self.mantissa < other.mantissa else 1
-        return 0
+        """-1, 0, or 1 as self <, ==, > other (exact, no tolerance), by the dataclass order."""
+        return (self > other) - (self < other)
 
     # ---- conversion / display ----
 

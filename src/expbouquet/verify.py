@@ -478,7 +478,13 @@ def suite_figures(threads: int | None = None) -> list[Check]:
 #: seeds about ``ln 800 + i pi`` whose ``z_2`` is the singular value ``a``
 #: exactly: the kernel cuts them at step 2 by the singular orbit's tag at
 #: ``a = 1.004+2.9i``, ``max_iter`` 34 and at ``a = -2-0i`` (a signed zero),
-#: and iterates them at ``a = 0.3``, whose singular orbit escapes.
+#: and iterates them at ``a = 0.3``, whose singular orbit escapes.  Last,
+#: drift-map grids for its closed-form exits: seeds straddling ``Re z =
+#: 36`` (decided at step 1 or 2), ``Re z = 50`` (exit 1 on both sides) and
+#: ``2^53 - 10`` and ``2^53`` (the seeds less than 10 below ``2^53`` never
+#: complete a run, those past it are frozen), and seeds at ``Re z`` 40.25 to
+#: 40.75, whose run ends at step 19: they exit at ``max_iter`` 19 and stay
+#: ``NonEscapingBounded`` at 18.
 DIFFERENTIAL_GRIDS = tuple(
     RenderSpec(map_kind=kind, a=a, width=48, height=48, max_iter=depth)
     for kind, params in (
@@ -503,6 +509,15 @@ DIFFERENTIAL_GRIDS = tuple(
              depth, 1e10)
             for a, depth in ((1.004 + 2.9j, 34), (complex(-2, -0.0), 60), (0.3, 60))
         ),
+    )
+) + tuple(
+    RenderSpec("fatou", viewport=viewport, width=48, height=48, max_iter=depth)
+    for viewport, depth in (
+        ((35.5, 36.5, -3.0, 3.0), 60),
+        ((49.5, 50.5, -3.0, 3.0), 60),
+        ((2.0**53 - 40, 2.0**53 + 56, -3.0, 3.0), 60),
+        ((40.25, 40.75, -3.0, 3.0), 19),
+        ((40.25, 40.75, -3.0, 3.0), 18),
     )
 )
 

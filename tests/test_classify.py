@@ -549,6 +549,26 @@ class TestFindCycle:
         with pytest.raises(ConvergenceError, match="initial point overflows"):
             find_cycle(P2, z_init, period)
 
+    def test_vanished_derivative(self):
+        # f(z) - z = e^z + 1 - z has derivative e^0 - 1 = 0 at z = 0, where
+        # the residual is 2
+        with pytest.raises(ConvergenceError, match="derivative vanished"):
+            find_cycle(Params(a=1.0), 0j, 1)
+
+    def test_line_search_halves_past_an_overflow(self):
+        # the full Newton step from 1e-3 lands at Re z = 999.5, where exp
+        # overflows; halved steps reach the repelling fixed point instead
+        z = 1e-3 + 0j
+        assert (z - (cmath.exp(z) - 2 - z) / (cmath.exp(z) - 1)).real > 710
+        cycle, mult = find_cycle(P2, z, 1)
+        assert cycle[0].real == pytest.approx(REPELLING_FP, abs=1e-12)
+        assert abs(mult) > 1.0
+
+    def test_no_convergence_after_200_steps(self):
+        # from Re z = 600 each Newton step on e^z - z moves left by about 1
+        with pytest.raises(ConvergenceError, match="no convergence after 200 Newton steps"):
+            find_cycle(Params(a=0.0), 600 + 0j, 1)
+
     def test_multiplier_is_product_of_derivatives(self):
         p = Params(a=5 + 3.14j)
         verdict = classify_param(p)

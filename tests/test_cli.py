@@ -100,6 +100,26 @@ class TestArgumentErrors:
         assert code == 2
         assert "viewport" in err
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--viewport", "0,1,x,2", "bad viewport '0,1,x,2'"),
+            ("--map", "julia", "unknown map 'julia'"),
+            ("--coloring", "rainbow", "unknown coloring 'rainbow'"),
+            ("--width", "1.5", "bad integer '1.5'"),
+            ("--height", "0", "value must be >= 1, got 0"),
+            ("--bailout", "big", "bad real 'big'"),
+        ],
+        ids=["viewport", "map", "coloring", "non-integer", "zero", "float"],
+    )
+    def test_bad_option_value(self, option, value, message, tmp_path, capsys):
+        out = tmp_path / "x.pgm"
+        code, _, err = run(["render", "--a=-2", f"{option}={value}", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("expbouquet render: error: argument")
+        assert message in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_nonpositive_size(self, capsys):
         code, _, err = run(
             ["render", "--width", "0", "--a", "-2+0i", "--out", "x.pgm"], capsys
@@ -580,7 +600,7 @@ class TestVerifyCommand:
                 bounds = name.rstrip("]").split(",viewport=")[1].split(":")
                 assert tuple(map(float, bounds)) == spec.viewport
                 named += 1
-        assert named == 6
+        assert named == 11
 
     def test_differential_suite_fails_on_a_wrong_pixel(self, capsys, monkeypatch):
         tags, exits = raster.classify_grid(SMALL_DIFFERENTIAL, workers=1)

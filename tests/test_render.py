@@ -441,6 +441,25 @@ class TestTrappingDiscs:
     def test_no_discs(self, a, depth, bailout):
         assert _trapping_discs(a, depth, bailout) is None
 
+    @pytest.mark.parametrize("at_cut", [True, False], ids=["at-cut", "one-ulp-below"])
+    def test_window_sum_plus_rounding_must_stay_below_the_cut(self, monkeypatch, at_cut):
+        # ATTRACT_CUT moved onto the level-0 window sum of a = -2 plus its
+        # rounding term rejects the chain; one ulp above that sum keeps it.
+        module = _render_module()
+        cycle, levels = _trapping_discs(-2 + 0j, 60, 1e10)
+        wide = [r * module._WIDEN for r in levels[0]]
+        window = sum(c.real + r for c, r in zip(cycle, wide))
+        size = sum(abs(c.real) + r for c, r in zip(cycle, wide))
+        edge = window + 4.0 * (len(cycle) + 1) * 2.0**-53 * (size + 1.0)
+        cut = edge if at_cut else math.nextafter(edge, math.inf)
+        monkeypatch.setattr(module, "ATTRACT_CUT", cut)
+        _trapping_discs.cache_clear()
+        try:
+            got = _trapping_discs(-2 + 0j, 60, 1e10)
+        finally:
+            _trapping_discs.cache_clear()
+        assert (got is None) == at_cut
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from(FIGURE_PARAMS),
@@ -715,8 +734,25 @@ class TestFatouRendering:
             # the cell centre (3, 4) is i*pi, a fixed point in floating point:
             # it stays bounded for 1000 steps, long after the last exit
             ((-3.5, 8.5, math.pi - 5.5, math.pi + 4.5), 1000),
+            # Closed-form exits.  Seeds on both sides of Re z = 36 are decided
+            # at step 1 or 2, and seeds on both sides of Re z = 50 exit at 1.
+            ((35.5, 36.5, -3.0, 3.0), 60),
+            ((49.5, 50.5, -3.0, 3.0), 60),
+            # Seeds at 2^52 - 11 .. 2^52 + 11, in closed form up to 2^52 and
+            # iterated past it, all exit at 1
+            ((2.0**52 - 12, 2.0**52 + 12, -3.0, 3.0), 60),
+            # Seeds at 2^53 - 14 and - 10 exit at 1, those at - 6 and - 2 reach
+            # the frozen 2^53 before their run ends; those past it move at most once
+            ((2.0**53 - 16, 2.0**53 + 32, -3.0, 3.0), 60),
+            # Seeds at Re z 40.25 .. 40.75 first pass 50 at step 10, so their
+            # run ends at step 19: exit 10 at max_iter 19; bounded at 18
+            ((40.25, 40.75, -3.0, 3.0), 19),
+            ((40.25, 40.75, -3.0, 3.0), 18),
         ],
-        ids=["60", "5", "fixed-point-1000"],
+        ids=[
+            "60", "5", "fixed-point-1000", "straddle-36", "straddle-50", "straddle-2^52",
+            "straddle-2^53", "run-ends-at-max-iter", "run-ends-past-max-iter",
+        ],
     )
     def test_matches_pointwise_classifier(self, viewport, max_iter):
         from expbouquet.fatoufn import fatou_classify
