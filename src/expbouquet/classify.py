@@ -391,16 +391,6 @@ def find_cycle(
     )
 
 
-def _minimal_period(p: Params, z_star: complex, period: int, tol: float = 1e-8) -> int:
-    """Smallest divisor d of ``period`` with ``f^d(z_star)`` within ``tol``."""
-    w = z_star
-    for d in range(1, period + 1):
-        w = eval_map(p.a, w)
-        if period % d == 0 and abs(w - z_star) < tol:
-            return d
-    return period
-
-
 def classify_param(p: Params, max_period: int = 32, depth: int = 2000) -> ParamClass:
     """Classify the parameter by the fate of its singular orbit.
 
@@ -453,7 +443,9 @@ def _detect_param_cycle(
             cycle, _ = find_cycle(p, zs[last], q, PARAM_REFINE_TOL)
         except ConvergenceError:
             continue
-        d = _minimal_period(p, cycle[0], q)
+        # minimal period: the least divisor d < q with cycle[d] = f^d(cycle[0])
+        # back at cycle[0], else q
+        d = next((d for d in range(1, q) if q % d == 0 and abs(cycle[d] - cycle[0]) < 1e-8), q)
         points = cycle[:d]
         mult = complex(1.0)
         for c in points:

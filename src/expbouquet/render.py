@@ -15,11 +15,12 @@ nested chain of discs about an attracting cycle and retired as ``Basin``
 ``max_iter`` when it fails every period test that a ``Basin`` tag needs.
 Every cut keeps the bytes of the full pass; :func:`_exp_block` and
 :func:`_trapping_discs` have the arguments.  The drift kernel keeps a live
-set that pixels leave on underflow or certified escape, or once their real
-part alone fixes the verdict: from ``Re z = 36`` on, the exit in closed
-form, and from ``2^53`` on, ``Undecided`` (:func:`_fatou_block` has the
-argument).  The grid is cut
-into fixed horizontal blocks that are pure functions of the render
+set that pixels leave on underflow, or from ``Re z = 36`` on, where the
+real part alone fixes the drift run: a pixel exits in closed form when its
+run ends by ``max_iter``, and is ``Undecided`` when the run would have to
+pass ``2^53``, where the real part stops (:func:`_fatou_block` has the
+argument).  Both kernels leave their sets through :func:`_cut`.  The grid
+is cut into fixed horizontal blocks that are pure functions of the render
 description, so output bytes are identical across runs, worker counts and
 scheduling orders; the blocks are written into shared memory
 (:func:`classify_grid`).
@@ -79,10 +80,10 @@ _MAX_WIDTH = 300_000
 # centre is at most rho lies within rho * _WIDEN of it.
 _WIDEN = 1.0 + 2.0**-40
 
-# Drift map: from Re z = 36 to 2^52 the float real part steps by exactly
-# fl(x + 1), and from 2^53 on it moves at most once (see _fatou_block).
+# Drift map: from Re z = 36 the float real part steps by exactly fl(x + 1),
+# which rises while x < 2^53 and moves at most once from 2^53 on, so a drift
+# run ends iff its last step starts below 2^53 (see _fatou_block).
 _SETTLE_RE = 36.0
-_SETTLE_MAX = 2.0**52
 _FROZEN_RE = 2.0**53
 
 
@@ -307,6 +308,24 @@ def _basin_mask(tail: list[np.ndarray], depth: int) -> np.ndarray:
     return basin
 
 
+def _cut(gone: np.ndarray, state: list[np.ndarray]) -> list[np.ndarray]:
+    """Cut the sorted positions ``gone`` from the parallel arrays ``state``.
+
+    The staying positions among the first ``m = gone.size`` move into the
+    slots of the positions gone past them, then the first ``m`` are cut
+    off: the set order changes, and every array of ``state`` changes alike.
+    The arrays are written in place; the returned ones are views of them.
+    """
+    m = gone.size
+    if not m:
+        return state
+    before = int(np.searchsorted(gone, m))
+    into, stay = gone[before:], np.delete(np.arange(m), gone[:before])
+    for arr in state:
+        arr[into] = arr[stay]
+    return [arr[m:] for arr in state]
+
+
 def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Classify one row block of an exponential-map raster.
 
@@ -480,16 +499,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                 for positions in retired:
                     cut[positions] = True
                 gone = np.flatnonzero(cut)
-            m = gone.size
-            if m:
-                # Staying pixels among the first m move into the slots of
-                # the pixels gone past them; then the first m are cut off.
-                before = int(np.searchsorted(gone, m))
-                into, stay = gone[before:], np.delete(np.arange(m), gone[:before])
-                for state in (pixel, offset, z, az, *tail):
-                    state[into] = state[stay]
-                pixel, offset, z, az = pixel[m:], offset[m:], z[m:], az[m:]
-                tail = [row[m:] for row in tail]
+            pixel, offset, z, az, *tail = _cut(gone, [pixel, offset, z, az, *tail])
             if not pixel.size:
                 break
             if n < depth:
@@ -524,35 +534,39 @@ def _fatou_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarra
 
     Only the live set is iterated: per live pixel its raster index, point,
     drift run and running ``max |z|``.  A pixel leaves it on underflow
-    (``Undecided``), when its drift run certifies escape (exit recorded),
-    or when its exit or its ``Undecided`` tag follows from its real part
-    alone (below); the pass ends at ``max_iter`` or when the set is empty.
+    (``Undecided``) or once its real part alone fixes its exit or its
+    ``Undecided`` tag (below), in one cut per step (:func:`_cut`); the pass
+    ends at ``max_iter`` or when the set is empty.
 
-    At the top of step ``n`` a live pixel holds ``z = z_{n-1}`` and the
-    run of drifting steps through ``n - 1``.  If ``36 <= x = Re z <=
-    2^52``, every later real part is ``fl(x + 1)`` of the one before,
-    whatever the finite ``Im z`` is: ``|Re e^{-z}| <= e^{-36} ~ 2.3e-16``
-    is below half an ulp of ``fl(x + 1) >= 37`` (``2^-48 ~ 3.6e-15``), so
-    ``(z + 1.0) + exp(-z)`` has real part ``fl(x + 1)``, which is ``> x``
-    and ``>= 36`` again (and ``Im z`` moves by less than 1).  Past 50
-    each step then drifts, so the run reaches ``DRIFT_WINDOW`` after ``10
-    - run`` steps: the exit is ``n - run``.  At ``x <= 50`` the run is 0
-    (a drifting step ends past 50), ``x + k`` is exact in the binade
-    ``[32, 64)`` and ``50 - x`` is exact by Sterbenz, so the real part
-    first passes 50 after ``k* = floor(50 - x) + 1`` steps, and the exit
-    is ``n + k* - 1``.  The pixel is decided at once, with no more complex
-    steps, when that run ends by ``max_iter`` (``exit + DRIFT_WINDOW - 1
-    <= max_iter``): an exited pixel's tag does not read ``max |z|``.
-    Otherwise it keeps iterating, since its tag then depends on ``max
-    |z|``.
+    At the top of step ``n`` a live pixel holds ``z = z_{n-1}`` and the run
+    ``r`` of drifting steps through ``n - 1``.  If ``x = Re z >= 36`` and
+    ``Im z`` is finite, every later real part is ``fl(x + 1)`` of the one
+    before: ``|Re e^{-z}| <= e^{-36} ~ 2.3e-16`` is below half an ulp of
+    ``fl(x + 1) >= 37`` (``2^-48 ~ 3.6e-15``), so ``(z + 1.0) + exp(-z)``
+    has real part ``fl(x + 1)`` (and ``Im z`` moves by less than 1).  That
+    is ``> x`` below ``2^53``, and exactly ``x + 1`` from ``2^52`` on,
+    where every double is an integer; ``2^53`` never moves (``fl(2^53 + 1)
+    = 2^53``), and a larger ``x`` moves at most once (by 2 when its last
+    bit is odd; ties round to even).  So the run ends, after ``10 - r``
+    more drifting steps, iff each of them starts below ``2^53``: iff ``x
+    <= 2^53 - 10 + r``.  Past 50 its exit is then ``n - r``.  At ``x <=
+    50`` the run is 0 (a drifting step ends past 50), ``x + k`` is exact in
+    the binade ``[32, 64)`` and ``50 - x`` is exact by Sterbenz, so the real
+    part first passes 50 after ``k* = floor(50 - x) + 1`` steps, and the
+    exit is ``n + k* - 1``.  The pixel is decided at once, with no more
+    complex steps, when that run ends by ``max_iter`` (``exit +
+    DRIFT_WINDOW - 1 <= max_iter``): an exited pixel's tag does not read
+    ``max |z|``.  Otherwise it keeps iterating, since its tag then depends
+    on ``max |z|``.  If ``x > 2^53 - 10 + r``, the real part reaches
+    ``2^53`` or more before the run ends, and from there no run reaches
+    ``DRIFT_WINDOW``: the pixel never exits, and ``|z| > 2^53 - 10`` is past
+    ``BOUNDED_BOX``, so it is retired as ``Undecided`` with exit -1.
 
-    A pixel with ``Re z >= 2^53`` is retired as ``Undecided`` with exit
-    -1: there ``e^{-z}`` is 0 and ``fl(x + 1)`` moves ``x`` at most once
-    (by 2, when ``x`` has an odd last bit; ties round to even), and a run
-    of 2 or more ends at ``2^53`` itself, which never moves, so the run
-    never reaches ``DRIFT_WINDOW``; and ``|z| >= 2^53`` is past
-    ``BOUNDED_BOX``.  ``fatou_classify`` takes neither shortcut: it is
-    their independent oracle.
+    Hence no run reaches ``DRIFT_WINDOW`` inside the pass: a pixel with a
+    run of 1 or more has ``Re z > 50``; with a finite ``Im z`` it is decided
+    there or its run ends past ``max_iter``, and a non-finite ``Im z`` makes
+    the next point NaN, whose run is 0.  ``fatou_classify`` takes no
+    shortcut: it is the independent oracle.
     """
     depth = spec.max_iter
     xs, ys = _pixel_centers(spec, y_start, y_stop)
@@ -567,38 +581,29 @@ def _fatou_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarra
     with np.errstate(all="ignore"):
         for n in range(1, depth + 1):
             x = z.real
-            # the pixels to drop (Re z < -700 or >= 2^53) or to decide in
-            # closed form (36 <= Re z <= 2^52); NaN is neither
+            # the pixels to drop (Re z < -700) or to settle in closed form
+            # (Re z >= 36); NaN is neither
             edge = np.flatnonzero((x < _RE_UNDERFLOW) | (x >= _SETTLE_RE))
             if edge.size:
                 xe = x[edge]
-                gone = (xe < _RE_UNDERFLOW) | (xe >= _FROZEN_RE)
-                near = np.flatnonzero(
-                    (xe >= _SETTLE_RE) & (xe <= _SETTLE_MAX) & np.isfinite(z.imag[edge])
-                )
-                xn = xe[near]
+                gone = xe < _RE_UNDERFLOW
+                near = np.flatnonzero(~gone & np.isfinite(z.imag[edge]))
+                xn, rn = xe[near], run[edge[near]]
                 ex = np.where(
                     xn > DRIFT_THRESHOLD,
-                    n - run[edge[near]],
+                    n - rn,
                     n + np.floor(DRIFT_THRESHOLD - xn).astype(np.int64),
                 )
-                done = ex + (DRIFT_WINDOW - 1) <= depth
+                ends = xn <= _FROZEN_RE - DRIFT_WINDOW + rn  # else Undecided
+                done = ends & (ex + (DRIFT_WINDOW - 1) <= depth)
                 exits[pixel[edge[near[done]]]] = ex[done]
-                gone[near[done]] = True
-                if gone.any():
-                    live = np.ones(pixel.size, dtype=bool)
-                    live[edge[gone]] = False
-                    pixel, z, run, max_abs = pixel[live], z[live], run[live], max_abs[live]
+                gone[near[done | ~ends]] = True
+                pixel, z, run, max_abs = _cut(edge[gone], [pixel, z, run, max_abs])
             if not pixel.size:
                 break
             w = z + 1.0 + np.exp(-z)
             drifting = (w.real > DRIFT_THRESHOLD) & (w.real > z.real)
             run = np.where(drifting, run + 1, 0)
-            hit = run == DRIFT_WINDOW
-            if hit.any():
-                exits[pixel[hit]] = n - DRIFT_WINDOW + 1
-                live = ~hit
-                pixel, w, run, max_abs = pixel[live], w[live], run[live], max_abs[live]
             z = w
             max_abs = np.maximum(max_abs, np.abs(z))
 

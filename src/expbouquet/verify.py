@@ -482,9 +482,13 @@ def suite_figures(threads: int | None = None) -> list[Check]:
 #: drift-map grids for its closed-form exits: seeds straddling ``Re z =
 #: 36`` (decided at step 1 or 2), ``Re z = 50`` (exit 1 on both sides) and
 #: ``2^53 - 10`` and ``2^53`` (the seeds less than 10 below ``2^53`` never
-#: complete a run, those past it are frozen), and seeds at ``Re z`` 40.25 to
+#: complete a run, those past it are frozen), seeds at ``Re z`` 40.25 to
 #: 40.75, whose run ends at step 19: they exit at ``max_iter`` 19 and stay
-#: ``NonEscapingBounded`` at 18.
+#: ``NonEscapingBounded`` at 18, and seeds about ``-38 + 1.2841i`` whose
+#: first step lands within 3 400 of ``2^53`` with run 1 (three of them
+#: stall in the band ``(2^53 - 9, 2^53)``): the seed
+#: ``-38 + 1.2841385745966045i`` lands on ``2^53 - 9``, where a run of 1
+#: still ends below ``2^53`` (exit 1).
 DIFFERENTIAL_GRIDS = tuple(
     RenderSpec(map_kind=kind, a=a, width=48, height=48, max_iter=depth)
     for kind, params in (
@@ -518,6 +522,9 @@ DIFFERENTIAL_GRIDS = tuple(
         ((2.0**53 - 40, 2.0**53 + 56, -3.0, 3.0), 60),
         ((40.25, 40.75, -3.0, 3.0), 19),
         ((40.25, 40.75, -3.0, 3.0), 18),
+        # cells 2^-46 by 2^-51; cell (23, 23) is centred on -38 + 1.2841385745966045i
+        ((-38.0 - 23.5 * 2.0**-46, -38.0 + 24.5 * 2.0**-46,
+          1.2841385745966045 - 24.5 * 2.0**-51, 1.2841385745966045 + 23.5 * 2.0**-51), 60),
     )
 )
 

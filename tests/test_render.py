@@ -714,6 +714,20 @@ class TestKernelWork:
         assert sum(sizes) == np.count_nonzero(exits >= 0) > 0
 
 
+# A drift-map seed whose first step lands on Re z = 2^53 - 9 exactly (run 1).
+# With Im z = 0 no seed can: each ulp of Re z near -36.74 moves the image by
+# about 64, and the image's real part is even.  Here Re z + 1 = -37 and
+# Re e^{-z} rounds to 2^53 + 28.  It is the centre of cell (4, 5) of a 12x10
+# grid whose cells are 2^-46 wide and 2^-51 high (2 ulps of each part).
+BAND_SEED = complex(-38.0, 1.2841385745966045)
+_BAND_VIEWPORT = (
+    BAND_SEED.real - 5.5 * 2.0**-46,
+    BAND_SEED.real + 6.5 * 2.0**-46,
+    BAND_SEED.imag - 5.5 * 2.0**-51,
+    BAND_SEED.imag + 4.5 * 2.0**-51,
+)
+
+
 class TestFatouRendering:
     def test_tags_in_expected_alphabet(self):
         spec = RenderSpec(
@@ -738,12 +752,19 @@ class TestFatouRendering:
             # at step 1 or 2, and seeds on both sides of Re z = 50 exit at 1.
             ((35.5, 36.5, -3.0, 3.0), 60),
             ((49.5, 50.5, -3.0, 3.0), 60),
-            # Seeds at 2^52 - 11 .. 2^52 + 11, in closed form up to 2^52 and
-            # iterated past it, all exit at 1
+            # Seeds at 2^52 - 11 .. 2^52 + 11, in closed form on both sides of
+            # 2^52 (where every double becomes an integer), all exit at 1
             ((2.0**52 - 12, 2.0**52 + 12, -3.0, 3.0), 60),
             # Seeds at 2^53 - 14 and - 10 exit at 1, those at - 6 and - 2 reach
             # the frozen 2^53 before their run ends; those past it move at most once
             ((2.0**53 - 16, 2.0**53 + 32, -3.0, 3.0), 60),
+            # Seeds at every integer from 2^53 - 12 to - 6, with run 0: up to
+            # 2^53 - 10 their run ends below 2^53 (exit 1), from - 9 on it stalls
+            ((2.0**53 - 12, 2.0**53 - 6, -3.0, 3.0), 60),
+            # BAND_SEED lands on 2^53 - 9 at step 1 with run 1, so its run ends
+            # below 2^53 (exit 1); the other seeds land within 2^53 +- 832: those
+            # below 2^53 - 9 exit at 1, the rest past 2^53, where they are frozen
+            (_BAND_VIEWPORT, 60),
             # Seeds at Re z 40.25 .. 40.75 first pass 50 at step 10, so their
             # run ends at step 19: exit 10 at max_iter 19; bounded at 18
             ((40.25, 40.75, -3.0, 3.0), 19),
@@ -751,7 +772,8 @@ class TestFatouRendering:
         ],
         ids=[
             "60", "5", "fixed-point-1000", "straddle-36", "straddle-50", "straddle-2^52",
-            "straddle-2^53", "run-ends-at-max-iter", "run-ends-past-max-iter",
+            "straddle-2^53", "run-0-at-2^53-10", "run-1-at-2^53-9", "run-ends-at-max-iter",
+            "run-ends-past-max-iter",
         ],
     )
     def test_matches_pointwise_classifier(self, viewport, max_iter):
@@ -772,6 +794,18 @@ class TestFatouRendering:
                     TAG_NAMES[tags[i, j]],
                     exits[i, j],
                 ), (i, j, z)
+
+    def test_band_seed_lands_on_the_run_boundary(self):
+        # one step from Re z < 36 to x = 2^53 - 9 with run 1: the run ends iff
+        # x <= 2^53 - 10 + run, here with equality
+        from expbouquet.fatoufn import fatou_eval
+
+        x0, x1, y0, y1 = _BAND_VIEWPORT
+        assert x0 + 5.5 * ((x1 - x0) / 12) == BAND_SEED.real
+        assert y1 - 4.5 * ((y1 - y0) / 10) == BAND_SEED.imag
+        assert fatou_eval(BAND_SEED).real == 2.0**53 - 9
+        spec = RenderSpec("fatou", viewport=_BAND_VIEWPORT, width=12, height=10)
+        assert classify_grid(spec, workers=1)[1][4, 5] == 1
 
     def test_golden_drift_map(self):
         spec = RenderSpec(map_kind="fatou", width=200, height=200, max_iter=60)
