@@ -15,14 +15,16 @@ nested chain of discs about an attracting cycle and retired as ``Basin``
 ``max_iter`` when it fails every period test that a ``Basin`` tag needs.
 Every cut keeps the bytes of the full pass; :func:`_exp_block` and
 :func:`_trapping_discs` have the arguments.  The drift kernel keeps a live
-set that pixels leave on underflow, or from ``Re z = 36`` on, where the
-real part alone fixes the drift run: a pixel exits in closed form when its
-run ends by ``max_iter``, and is ``Undecided`` when the run would have to
-pass ``2^53``, where the real part stops (:func:`_fatou_block` has the
-argument).  Both kernels leave their sets through :func:`_cut`.  The grid
-is cut into fixed horizontal blocks that are pure functions of the render
-description, so output bytes are identical across runs, worker counts and
-scheduling orders; the blocks are written into shared memory
+set of index, ``z`` and ``max |z|`` that pixels leave on underflow, or
+from their first step with ``Re z >= 36`` on, where the real part alone
+fixes the drift run, and the run so far is 0 for a seed and 1 wherever
+it is read otherwise: a pixel exits in closed form when its run ends by
+``max_iter``, and is ``Undecided`` when the run would have to pass
+``2^53``, where the real part stops (:func:`_fatou_block` has the
+argument).  Both kernels leave their sets through :func:`_cut`.  The
+grid is cut into fixed horizontal blocks that are pure functions of the
+render description, so output bytes are identical across runs, worker
+counts and scheduling orders; the blocks are written into shared memory
 (:func:`classify_grid`).
 """
 
@@ -532,49 +534,67 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
 def _fatou_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Classify one row block of a drift-map raster.
 
-    Only the live set is iterated: per live pixel its raster index, point,
-    drift run and running ``max |z|``.  A pixel leaves it on underflow
+    Only the live set is iterated: per live pixel its raster index, point
+    and running ``max |z|``.  A pixel leaves it on underflow
     (``Undecided``) or once its real part alone fixes its exit or its
     ``Undecided`` tag (below), in one cut per step (:func:`_cut`); the pass
     ends at ``max_iter`` or when the set is empty.
 
-    At the top of step ``n`` a live pixel holds ``z = z_{n-1}`` and the run
-    ``r`` of drifting steps through ``n - 1``.  If ``x = Re z >= 36`` and
-    ``Im z`` is finite, every later real part is ``fl(x + 1)`` of the one
-    before: ``|Re e^{-z}| <= e^{-36} ~ 2.3e-16`` is below half an ulp of
-    ``fl(x + 1) >= 37`` (``2^-48 ~ 3.6e-15``), so ``(z + 1.0) + exp(-z)``
-    has real part ``fl(x + 1)`` (and ``Im z`` moves by less than 1).  That
-    is ``> x`` below ``2^53``, and exactly ``x + 1`` from ``2^52`` on,
-    where every double is an integer; ``2^53`` never moves (``fl(2^53 + 1)
-    = 2^53``), and a larger ``x`` moves at most once (by 2 when its last
-    bit is odd; ties round to even).  So the run ends, after ``10 - r``
-    more drifting steps, iff each of them starts below ``2^53``: iff ``x
-    <= 2^53 - 10 + r``.  Past 50 its exit is then ``n - r``.  At ``x <=
-    50`` the run is 0 (a drifting step ends past 50), ``x + k`` is exact in
-    the binade ``[32, 64)`` and ``50 - x`` is exact by Sterbenz, so the real
-    part first passes 50 after ``k* = floor(50 - x) + 1`` steps, and the
-    exit is ``n + k* - 1``.  The pixel is decided at once, with no more
-    complex steps, when that run ends by ``max_iter`` (``exit +
-    DRIFT_WINDOW - 1 <= max_iter``): an exited pixel's tag does not read
-    ``max |z|``.  Otherwise it keeps iterating, since its tag then depends
-    on ``max |z|``.  If ``x > 2^53 - 10 + r``, the real part reaches
-    ``2^53`` or more before the run ends, and from there no run reaches
-    ``DRIFT_WINDOW``: the pixel never exits, and ``|z| > 2^53 - 10`` is past
-    ``BOUNDED_BOX``, so it is retired as ``Undecided`` with exit -1.
+    At the top of step ``n`` a live pixel holds ``z = z_{n-1}``; let ``r``
+    be the run of drifting steps through ``n - 1``, as ``fatou_classify``
+    counts it.  If ``x = Re z >= 36`` and ``Im z`` is finite, every later
+    real part is ``fl(x + 1)`` of the one before: ``|Re e^{-z}| <= e^{-36}
+    ~ 2.3e-16`` is below half an ulp of ``fl(x + 1) >= 37`` (``2^-48 ~
+    3.6e-15``), so ``(z + 1.0) + exp(-z)`` has real part ``fl(x + 1)`` (and
+    ``Im z`` moves by less than 1).  That is ``> x`` below ``2^53``, and
+    exactly ``x + 1`` from ``2^52`` on, where every double is an integer;
+    ``2^53`` never moves (``fl(2^53 + 1) = 2^53``), and a larger ``x``
+    moves at most once (by 2 when its last bit is odd; ties round to even).
+    So the run ends, after ``10 - r`` more drifting steps, iff each of them
+    starts below ``2^53``: iff ``x <= 2^53 - 10 + r``.  Past 50 its exit is
+    then ``n - r``.  At ``x <= 50`` the run is 0 (a drifting step ends past
+    50), ``x + k`` is exact in the binade ``[32, 64)`` and ``50 - x`` is
+    exact by Sterbenz, so the real part first passes 50 after ``k* =
+    floor(50 - x) + 1`` steps, and the exit is ``n + k* - 1``.  The pixel
+    is decided at once, with no more complex steps, when that run ends by
+    ``max_iter`` (``exit + DRIFT_WINDOW - 1 <= max_iter``): an exited
+    pixel's tag does not read ``max |z|``.  If ``x > 2^53 - 10 + r``, the
+    real part reaches ``2^53`` or more before the run ends, and from there
+    no run reaches ``DRIFT_WINDOW``: the pixel never exits, and ``|z| >
+    2^53 - 10`` is past ``BOUNDED_BOX``, so it is retired as ``Undecided``
+    with exit -1.  Otherwise it keeps iterating, since its tag then depends
+    on ``max |z|``.
 
-    Hence no run reaches ``DRIFT_WINDOW`` inside the pass: a pixel with a
-    run of 1 or more has ``Re z > 50``; with a finite ``Im z`` it is decided
-    there or its run ends past ``max_iter``, and a non-finite ``Im z`` makes
-    the next point NaN, whose run is 0.  ``fatou_classify`` takes no
+    The kernel keeps no run: at a pixel's first step with ``x >= 36`` it
+    is ``r = int(n > 1)`` wherever it is read.  At ``n = 1``, ``z`` is the
+    seed, with run 0.  At ``n > 1``, ``z`` came by one step from a point
+    with real part below 36, where no run survives (a drifting step ends
+    past 50), so a step from there past 50 is a drifting step and ``r =
+    1``.  ``r`` is read only in the exit ``n - r`` for ``x > 50`` and in
+    ``x <= 2^53 - 10 + r``, where the ``+ r`` cannot matter for ``x <=
+    50``.  A pixel left undecided at that first step is never decided
+    later, although every later step reads ``r = 1`` too, because a later
+    step never lowers the formula's exit: at a step ``n' > n`` with ``x' =
+    Re z > 50`` it is ``n' - 1 >= n``, which is at least the exit ``n - r``
+    of a first step past 50, and at least ``n + floor(50 - x)`` when ``x <=
+    50`` (``x' = x + (n' - n) > 50``); at ``x' <= 50`` it is ``n' +
+    floor(50 - x') = n + floor(50 - x)`` exactly.  A pixel that a later
+    step retires as ``Undecided`` has ``|z| >= x' > 2^53 - 9``, past
+    ``BOUNDED_BOX``, and no exit by ``max_iter``, so its tag and exit -1 are
+    the full pass's.
+
+    Every pixel that exits in the full pass is decided inside the pass: the
+    first point of its run lies past 50 at the top of a step ``<=
+    max_iter``, and a non-finite ``Im z`` there makes the next point NaN,
+    which ends any run.  ``fatou_classify`` keeps its run and takes no
     shortcut: it is the independent oracle.
     """
     depth = spec.max_iter
     xs, ys = _pixel_centers(spec, y_start, y_stop)
-    z = (xs[None, :] + 1j * ys[:, None]).reshape(-1).astype(np.complex128)
+    z = (xs[None, :] + 1j * ys[:, None]).reshape(-1)
     npix = z.size
 
     pixel = np.arange(npix)
-    run = np.zeros(npix, dtype=np.int64)
     max_abs = np.abs(z)
     exits = np.full(npix, -1, dtype=np.int64)
 
@@ -588,23 +608,20 @@ def _fatou_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarra
                 xe = x[edge]
                 gone = xe < _RE_UNDERFLOW
                 near = np.flatnonzero(~gone & np.isfinite(z.imag[edge]))
-                xn, rn = xe[near], run[edge[near]]
+                xn, run = xe[near], int(n > 1)  # the drift run at a first step past 36
                 ex = np.where(
                     xn > DRIFT_THRESHOLD,
-                    n - rn,
+                    n - run,
                     n + np.floor(DRIFT_THRESHOLD - xn).astype(np.int64),
                 )
-                ends = xn <= _FROZEN_RE - DRIFT_WINDOW + rn  # else Undecided
+                ends = xn <= _FROZEN_RE - DRIFT_WINDOW + run  # else Undecided
                 done = ends & (ex + (DRIFT_WINDOW - 1) <= depth)
                 exits[pixel[edge[near[done]]]] = ex[done]
                 gone[near[done | ~ends]] = True
-                pixel, z, run, max_abs = _cut(edge[gone], [pixel, z, run, max_abs])
+                pixel, z, max_abs = _cut(edge[gone], [pixel, z, max_abs])
             if not pixel.size:
                 break
-            w = z + 1.0 + np.exp(-z)
-            drifting = (w.real > DRIFT_THRESHOLD) & (w.real > z.real)
-            run = np.where(drifting, run + 1, 0)
-            z = w
+            z = z + 1.0 + np.exp(-z)
             max_abs = np.maximum(max_abs, np.abs(z))
 
     tags = np.full(npix, TAG_UNDECIDED, dtype=np.uint8)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .classify import FastEscaping, classify_point
 from .expmap import Params, _towers, _track, eval_map
@@ -170,13 +170,16 @@ def itinerary(p: Params, z: complex, n: int) -> tuple[int, ...]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = []
+    return tuple(_strips(p, z, n))
+
+
+def _strips(p: Params, z: complex, n: int) -> Iterator[int]:
+    """Strip indices of ``z, f(z), ..., f^(n-1)(z)``, each map step taken when its index is read."""
     w = complex(z)
     for i in range(n):
-        out.append(strip_index(w))
-        if i + 1 < n:
+        if i:
             w = eval_map(p.a, w)
-    return tuple(out)
+        yield strip_index(w)
 
 
 def inverse_branch(p: Params, k: int, w: complex) -> complex:
@@ -285,14 +288,9 @@ def separation_index(p: Params, z0: complex, z1: complex, depth: int) -> Optiona
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    w0, w1 = complex(z0), complex(z1)
-    for n in range(depth):
-        if strip_index(w0) != strip_index(w1):
-            return n
-        if n + 1 < depth:
-            w0 = eval_map(p.a, w0)
-            w1 = eval_map(p.a, w1)
-    return None
+    # zip steps z0's orbit before z1's, and stops at the first mismatch
+    pairs = zip(_strips(p, z0, depth), _strips(p, z1, depth))
+    return next((n for n, (k0, k1) in enumerate(pairs) if k0 != k1), None)
 
 
 def real_part_margin(p: Params, cfg: SeparationConfig) -> float:

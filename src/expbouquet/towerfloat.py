@@ -179,23 +179,16 @@ def from_real_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def exp_plus_array(
     level: np.ndarray, mantissa: np.ndarray, c: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise :meth:`TowerReal.exp_plus`, branch for branch, bit for bit.
+    """Elementwise :meth:`TowerReal.exp_plus`, bit for bit.
 
-    Every entry goes to ``(level + 1, mantissa)`` except the level-0
-    entries below the direct limit, and each of the two level-0 branches
-    runs only on its own entries, with the same float operations as the
-    scalar method, evaluated per entry with ``math`` (NumPy's ``exp``,
-    ``log`` and ``log1p`` may round one ulp away from it).  Only bailouts
-    below the direct limit put entries on the two level-0 branches.
+    The shift ``(L, m) -> (L + 1, m)`` of level ``>= 1`` and of level-0
+    mantissas past the direct limit is vectorized; every other entry is
+    ``TowerReal(0, m).exp_plus(c)`` itself (NumPy's ``exp``, ``log`` and
+    ``log1p`` may round one ulp away from the scalar method's ``math``).
+    Only bailouts below the direct limit reach those entries.
     """
-    out_level = level + 1
-    out_mantissa = mantissa.copy()
-    level0 = np.flatnonzero(level == 0)
-    m = mantissa[level0]
-    small = m < LN_H
-    mid = ~small & (m <= _EXP_DIRECT_MAX)
-    at = level0[small]
-    e = np.array([math.exp(x) for x in m[small].tolist()], dtype=np.float64)
-    out_level[at], out_mantissa[at] = from_real_array(e + c)
-    out_mantissa[level0[mid]] = [x + math.log1p(c * math.exp(-x)) for x in m[mid].tolist()]
+    out_level, out_mantissa = level + 1, mantissa.copy()
+    for i in np.flatnonzero((level == 0) & (mantissa <= _EXP_DIRECT_MAX)).tolist():
+        t = TowerReal(0, float(mantissa[i])).exp_plus(c)
+        out_level[i], out_mantissa[i] = t.level, t.mantissa
     return out_level, out_mantissa

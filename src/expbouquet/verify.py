@@ -488,7 +488,9 @@ def suite_figures(threads: int | None = None) -> list[Check]:
 #: first step lands within 3 400 of ``2^53`` with run 1 (three of them
 #: stall in the band ``(2^53 - 9, 2^53)``): the seed
 #: ``-38 + 1.2841385745966045i`` lands on ``2^53 - 9``, where a run of 1
-#: still ends below ``2^53`` (exit 1).
+#: still ends below ``2^53`` (exit 1), and seeds about ``-4``, whose first
+#: step lands at ``Re z ~ 51.6`` with run 1 (the run the kernel derives for
+#: a pixel entering from below 36): they exit at 1 at ``max_iter`` 10.
 DIFFERENTIAL_GRIDS = tuple(
     RenderSpec(map_kind=kind, a=a, width=48, height=48, max_iter=depth)
     for kind, params in (
@@ -525,6 +527,7 @@ DIFFERENTIAL_GRIDS = tuple(
         # cells 2^-46 by 2^-51; cell (23, 23) is centred on -38 + 1.2841385745966045i
         ((-38.0 - 23.5 * 2.0**-46, -38.0 + 24.5 * 2.0**-46,
           1.2841385745966045 - 24.5 * 2.0**-51, 1.2841385745966045 + 23.5 * 2.0**-51), 60),
+        ((-4.01, -3.99, -0.01, 0.01), 10),
     )
 )
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expbouquet import classify, expmap
-from expbouquet.classify import CYCLE_DETECT_TOL, classify_point
+from expbouquet.classify import CYCLE_DETECT_TOL
 from expbouquet.expmap import Params
 from expbouquet.render import (
     TAG_BASIN,
@@ -37,6 +37,7 @@ from expbouquet.render import (
     _trapping_discs,
 )
 from expbouquet.towerfloat import exp_plus_array
+from expbouquet.verify import differential_row
 from test_classify import REPELLING_FP, _classify_point_eager
 
 SMALL = RenderSpec(
@@ -246,12 +247,6 @@ def _cell_centres(spec):
             yield i, j, complex(x0 + (j + 0.5) * dx, y1 - (i + 0.5) * dy)
 
 
-def _scalar_verdict(p, z, depth, bailout):
-    """(class name, exit step of EscapingSlow) by the scalar classifier."""
-    got = classify_point(p, z, depth=depth, bailout=bailout)
-    return type(got).__name__, getattr(got, "first_exit_step", None)
-
-
 class TestRenderSpec:
     def test_defaults(self):
         spec = RenderSpec(map_kind="exponential", a=-2 + 0j)
@@ -350,14 +345,8 @@ class TestClassificationColors:
         ids=[*DIFFERENTIAL_SPECS, *RANDOM_SPECS],
     )
     def test_matches_scalar_classifier(self, spec):
-        p = Params(a=spec.a)
-        tags, exits = classify_grid(spec, workers=1)
-        for i, j, z in _cell_centres(spec):
-            name, exit_step = _scalar_verdict(p, z, spec.max_iter, spec.bailout)
-            assert (name, exit_step) == (
-                TAG_NAMES[tags[i, j]],
-                exits[i, j] if tags[i, j] == TAG_SLOW else None,
-            ), (i, j, z)
+        _, ok, detail = differential_row(spec)
+        assert ok, detail
 
     @pytest.mark.parametrize(
         "spec",
@@ -769,31 +758,24 @@ class TestFatouRendering:
             # run ends at step 19: exit 10 at max_iter 19; bounded at 18
             ((40.25, 40.75, -3.0, 3.0), 19),
             ((40.25, 40.75, -3.0, 3.0), 18),
+            # Seeds about -4 enter from below 36: the first step lands at
+            # Re z ~ 51.6 with run 1, so the run ends at step 10: exit 1 at
+            # max_iter 10; bounded at 9
+            ((-4.01, -3.99, -0.01, 0.01), 10),
+            ((-4.01, -3.99, -0.01, 0.01), 9),
         ],
         ids=[
             "60", "5", "fixed-point-1000", "straddle-36", "straddle-50", "straddle-2^52",
             "straddle-2^53", "run-0-at-2^53-10", "run-1-at-2^53-9", "run-ends-at-max-iter",
-            "run-ends-past-max-iter",
+            "run-ends-past-max-iter", "run-1-from-below-36", "run-1-from-below-36-past-max-iter",
         ],
     )
     def test_matches_pointwise_classifier(self, viewport, max_iter):
-        from expbouquet.fatoufn import fatou_classify
-
         spec = RenderSpec(
             map_kind="fatou", viewport=viewport, width=12, height=10, max_iter=max_iter
         )
-        tags, exits = classify_grid(spec, workers=1)
-        x0, x1, y0, y1 = viewport
-        dx = (x1 - x0) / 12
-        dy = (y1 - y0) / 10
-        for i in range(10):
-            for j in range(12):
-                z = complex(x0 + (j + 0.5) * dx, y1 - (i + 0.5) * dy)
-                got = fatou_classify(z, depth=max_iter)
-                assert (type(got).__name__, getattr(got, "first_exit_step", -1)) == (
-                    TAG_NAMES[tags[i, j]],
-                    exits[i, j],
-                ), (i, j, z)
+        _, ok, detail = differential_row(spec)
+        assert ok, detail
 
     def test_band_seed_lands_on_the_run_boundary(self):
         # one step from Re z < 36 to x = 2^53 - 9 with run 1: the run ends iff
