@@ -2,124 +2,27 @@
 with tower arithmetic for astronomically fast escape, hair tracing by
 symbolic addresses, a deterministic parallel rasterizer, and the drift map
 ``z -> z + 1 + e^-z`` with its exponential semiconjugacy.
+
+Each module's ``__all__`` is the one list of its public names, and the
+package exports their concatenation.  ``expbouquet.render`` is the
+function; ``importlib.import_module("expbouquet.render")`` is the module.
 """
 
-from .classify import (
-    Attracting,
-    Basin,
-    ConvergenceError,
-    EscapingSlow,
-    FastEscaping,
-    NonEscapingBounded,
-    ParabolicSuspect,
-    PostsingularlyFinite,
-    SingularValueEscapes,
-    Undecided,
-    Undetermined,
-    classify_param,
-    classify_point,
-    find_cycle,
-    is_meandering_candidate,
-    report_line,
-)
-from .expmap import (
-    OrbitSample,
-    Params,
-    eval_map,
-    max_modulus,
-    max_modulus_iterates,
-    orbit,
-    orbit_to_csv,
-)
-from .fatoufn import (
-    fatou_classify,
-    fatou_eval,
-    fatou_orbit,
-    h_eval,
-    semiconj_residual,
-)
-from .render import (
-    ImageGrid,
-    RenderSpec,
-    classification_csv,
-    classify_grid,
-    colorize,
-    csv_text,
-    default_viewport,
-    escape_fraction,
-    render,
-    write_pgm,
-)
-from .symbolic import (
-    ExternalAddress,
-    HairPoint,
-    PreconditionError,
-    SeparationConfig,
-    endpoint_estimate,
-    find_domination_index,
-    inverse_branch,
-    itinerary,
-    real_part_margin,
-    separation_index,
-    strip_index,
-    trace_hair,
-)
-from .towerfloat import H, LN_H, TowerReal
-
-__version__ = "0.1.0"
+from . import classify, expmap, fatoufn, render, symbolic, towerfloat
 
 __all__ = [
-    "Attracting",
-    "Basin",
-    "ConvergenceError",
-    "EscapingSlow",
-    "ExternalAddress",
-    "FastEscaping",
-    "H",
-    "HairPoint",
-    "ImageGrid",
-    "LN_H",
-    "NonEscapingBounded",
-    "OrbitSample",
-    "ParabolicSuspect",
-    "Params",
-    "PostsingularlyFinite",
-    "PreconditionError",
-    "RenderSpec",
-    "SeparationConfig",
-    "SingularValueEscapes",
-    "TowerReal",
-    "Undecided",
-    "Undetermined",
-    "classification_csv",
-    "classify_grid",
-    "classify_param",
-    "classify_point",
-    "colorize",
-    "csv_text",
-    "default_viewport",
-    "endpoint_estimate",
-    "escape_fraction",
-    "eval_map",
-    "fatou_classify",
-    "fatou_eval",
-    "fatou_orbit",
-    "find_cycle",
-    "find_domination_index",
-    "h_eval",
-    "inverse_branch",
-    "is_meandering_candidate",
-    "itinerary",
-    "max_modulus",
-    "max_modulus_iterates",
-    "orbit",
-    "orbit_to_csv",
-    "real_part_margin",
-    "render",
-    "report_line",
-    "semiconj_residual",
-    "separation_index",
-    "strip_index",
-    "trace_hair",
-    "write_pgm",
+    name
+    for module in (classify, expmap, fatoufn, render, symbolic, towerfloat)
+    for name in module.__all__
 ]
+
+# After the lists are read: ``from .render import *`` rebinds ``render``
+# from the submodule to the function.
+from .classify import *
+from .expmap import *
+from .fatoufn import *
+from .render import *
+from .symbolic import *
+from .towerfloat import *
+
+__version__ = "0.1.0"

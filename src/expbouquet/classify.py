@@ -48,7 +48,6 @@ __all__ = [
     "classify_point",
     "classify_param",
     "find_cycle",
-    "is_meandering_candidate",
     "report_line",
 ]
 
@@ -532,21 +531,6 @@ def _detect_revisit(zs: Sequence[complex]) -> Optional[PostsingularlyFinite]:
             return PostsingularlyFinite(preperiod=i, period=j - i)
         # revisit found but not repelling; try later j
     return None
-
-
-def is_meandering_candidate(
-    point: PointClass, param: Optional[ParamClass] = None
-) -> bool:
-    """Whether a classified point is a candidate for the meandering set.
-
-    Slow-escaping points qualify outright; bounded non-basin points
-    qualify when the parameter is known to carry an attracting cycle.
-    """
-    if isinstance(point, EscapingSlow):
-        return True
-    if isinstance(point, NonEscapingBounded) and isinstance(param, Attracting):
-        return True
-    return False
 
 
 def report_line(result: PointClass | ParamClass) -> str:

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["H", "LN_H", "TowerReal"]
+
 # Promotion threshold: level-0 mantissas stay below H, level>=1 towers are >= H.
 H = 1e15
 LN_H = math.log(H)

@@ -24,7 +24,6 @@ from expbouquet.classify import (
     classify_param,
     classify_point,
     find_cycle,
-    is_meandering_candidate,
     report_line,
 )
 from expbouquet.expmap import Params, orbit
@@ -751,19 +750,6 @@ class TestRevisitSearch:
         )
         assert revisits > 1900
         assert classify_param(Params(LONG_CYCLE_A)) == Undetermined()
-
-
-class TestMeanderingCandidate:
-    def test_slow_escape_qualifies(self):
-        assert is_meandering_candidate(EscapingSlow(first_exit_step=9))
-
-    def test_bounded_needs_attracting_parameter(self):
-        bounded = NonEscapingBounded(depth=100, bound=3.0)
-        assert not is_meandering_candidate(bounded)
-        assert is_meandering_candidate(bounded, classify_param(P2))
-
-    def test_fast_escape_never_qualifies(self):
-        assert not is_meandering_candidate(FastEscaping(offset=0, verified_depth=10))
 
 
 class TestReportLine:

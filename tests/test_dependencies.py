@@ -1,4 +1,5 @@
-"""The package's third-party dependencies: NumPy, and nothing it does not declare."""
+"""The package against its ``pyproject.toml``: NumPy as the one third-party
+dependency, nothing it does not declare, and the same version."""
 
 import ast
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import expbouquet
 from expbouquet.verify import _dilate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,6 +51,12 @@ def test_imports_match_declared_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", req).group(0) for req in project["dependencies"]}
     assert _third_party_imports() == declared
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert expbouquet.__version__ == project["version"]
 
 
 def _dilate_by_window_max(mask: np.ndarray, radius: int) -> np.ndarray:
