@@ -26,7 +26,6 @@ from .expmap import (
     Params,
     _finite,
     _track,
-    eval_map,
     max_modulus_iterates,
 )
 from .towerfloat import exp_plus_array, from_real_array
@@ -328,9 +327,11 @@ def find_cycle(
     """Refine a periodic cycle by damped Newton iteration.
 
     Solves ``f^period(z) = z`` starting from ``z_init`` until the residual
-    drops below ``tol``; returns the cycle points and the multiplier
-    (product of ``exp(z_i)`` along the cycle).  Raises
-    :class:`ConvergenceError` after 200 Newton steps without convergence.
+    drops below ``tol``; returns the cycle points ``z, f(z), ...,
+    f^(period-1)(z)`` and the multiplier (product of ``exp(z_i)`` along the
+    cycle), both as the last accepted Newton step computed them.  Raises
+    :class:`ConvergenceError` after 200 Newton steps without convergence,
+    and :class:`OverflowError` if a cycle point has ``Re z > 700``.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
@@ -338,34 +339,34 @@ def find_cycle(
         raise ValueError("tol must be positive")
     a = p.a
 
-    def step_values(z: complex) -> tuple[complex, complex]:
-        """Return (f^period(z) - z, derivative of f^period at z)."""
+    def step_values(z: complex) -> tuple[complex, complex, list[complex], float]:
+        """Return (f^period(z) - z, its multiplier, the cycle points, their largest Re)."""
         w = z
         deriv = complex(1.0)
+        points = []
+        top = -math.inf
         for _ in range(period):
+            points.append(w)
+            top = max(top, w.real)
             e = cmath.exp(w)
             deriv *= e
             w = e + a
             if not (math.isfinite(w.real) and math.isfinite(w.imag)):
                 raise OverflowError("orbit overflow inside Newton step")
-        return w - z, deriv - 1.0
+        return w - z, deriv, points, top
 
     z = complex(z_init)
     try:
-        f_val, f_der = step_values(z)
+        walk = step_values(z)
     except OverflowError as exc:
         raise ConvergenceError(f"initial point overflows for period {period}") from exc
     for _ in range(200):
+        f_val, mult, cycle, top = walk
         if abs(f_val) < tol:
-            cycle = []
-            w = z
-            for _ in range(period):
-                cycle.append(w)
-                w = eval_map(a, w)
-            mult = complex(1.0)
-            for c in cycle:
-                mult *= cmath.exp(c)
+            if top > RE_OVERFLOW:
+                raise OverflowError(f"cycle point has Re z = {top!r} > {RE_OVERFLOW}")
             return tuple(cycle), mult
+        f_der = mult - 1.0
         if f_der == 0:
             raise ConvergenceError("Newton derivative vanished")
         delta = f_val / f_der
@@ -373,12 +374,12 @@ def find_cycle(
         while lam >= 2.0**-30:
             cand = z - lam * delta
             try:
-                c_val, c_der = step_values(cand)
+                cand_walk = step_values(cand)
             except OverflowError:
                 lam /= 2.0
                 continue
-            if abs(c_val) < abs(f_val):
-                z, f_val, f_der = cand, c_val, c_der
+            if abs(cand_walk[0]) < abs(f_val):
+                z, walk = cand, cand_walk
                 break
             lam /= 2.0
         else:
@@ -386,7 +387,7 @@ def find_cycle(
                 f"Newton stalled at residual {abs(f_val):.3e} for period {period}"
             )
     raise ConvergenceError(
-        f"no convergence after 200 Newton steps (residual {abs(f_val):.3e})"
+        f"no convergence after 200 Newton steps (residual {abs(walk[0]):.3e})"
     )
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -300,19 +299,6 @@ def max_modulus(a: complex, r: float) -> float:
     return math.sqrt(best)
 
 
-@lru_cache(maxsize=None)
-def _mm_iterates_cached(a: complex, r: float, count: int) -> tuple[TowerReal, ...]:
-    towers: list[TowerReal] = [TowerReal.from_real(r)]
-    abs_a = abs(a)
-    for _ in range(count):
-        prev = towers[-1]
-        if prev.level == 0 and prev.mantissa <= MM_DIRECT_MAX:
-            towers.append(TowerReal.from_real(max_modulus(a, prev.mantissa)))
-        else:
-            towers.append(prev.exp_plus(abs_a))
-    return tuple(towers)
-
-
 def max_modulus_iterates(a: complex, r: float, count: int) -> list[TowerReal]:
     """Towers ``[r, M(r), M^2(r), ..., M^count(r)]`` of iterated maximum modulus.
 
@@ -323,4 +309,12 @@ def max_modulus_iterates(a: complex, r: float, count: int) -> list[TowerReal]:
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    return list(_mm_iterates_cached(complex(a), float(r), count))
+    towers = [TowerReal.from_real(r)]
+    abs_a = abs(a)
+    for _ in range(count):
+        prev = towers[-1]
+        if prev.level == 0 and prev.mantissa <= MM_DIRECT_MAX:
+            towers.append(TowerReal.from_real(max_modulus(a, prev.mantissa)))
+        else:
+            towers.append(prev.exp_plus(abs_a))
+    return towers

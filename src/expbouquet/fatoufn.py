@@ -84,7 +84,8 @@ def semiconj_residual(z: complex) -> float:
 def fatou_orbit(z0: complex, depth: int, bailout: float = 1e10) -> list[OrbitSample]:
     """Forward orbit under the drift map, in the shared sample format.
 
-    Stops after the first in-range sample beyond ``bailout``.  If the
+    Stops after the first in-range sample beyond ``bailout``, the seed
+    included, as :func:`expbouquet.expmap.orbit` does.  If the
     orbit reaches ``Re z < -700`` the next magnitude is still recorded as
     a tower (``log |z_next| ~ -Re z``) with status ``"overflowed"`` and
     the orbit ends there: past that point not even the magnitude admits
@@ -95,37 +96,18 @@ def fatou_orbit(z0: complex, depth: int, bailout: float = 1e10) -> list[OrbitSam
     if not 0.0 < bailout <= MAG_GUARD:
         raise ValueError("bailout must be in (0, 1e15]")
     w = _finite("seed", z0)
-    samples = [
-        OrbitSample(
-            n=0,
-            z=w,
-            log_mag=TowerReal.from_real(max(abs(w), _TINY)).ln(),
-            status="in-range",
-        )
-    ]
-    for n in range(1, depth + 1):
+    samples: list[OrbitSample] = []
+    for n in range(depth + 1):
+        log_mag = TowerReal.from_real(max(abs(w), _TINY)).ln()
+        samples.append(OrbitSample(n=n, z=w, log_mag=log_mag, status="in-range"))
+        if abs(w) > bailout or n == depth:
+            break
         if w.real < _RE_UNDERFLOW:
-            # log |z_n| = -Re z_{n-1} + log |1 + (z+1) exp(z)| ~ -Re z_{n-1}
-            samples.append(
-                OrbitSample(
-                    n=n,
-                    z=None,
-                    log_mag=TowerReal.normalized(1, -w.real).ln(),
-                    status="overflowed",
-                )
-            )
+            # log |z_{n+1}| = -Re z_n + log |1 + (z+1) exp(z)| ~ -Re z_n
+            log_mag = TowerReal.from_real(-w.real)
+            samples.append(OrbitSample(n=n + 1, z=None, log_mag=log_mag, status="overflowed"))
             break
         w = w + 1.0 + cmath.exp(-w)
-        samples.append(
-            OrbitSample(
-                n=n,
-                z=w,
-                log_mag=TowerReal.from_real(max(abs(w), _TINY)).ln(),
-                status="in-range",
-            )
-        )
-        if abs(w) > bailout:
-            break
     return samples
 
 

@@ -212,7 +212,7 @@ def _trapping_discs(
     if not isinstance(verdict, Attracting) or verdict.period > min(32, depth):
         return None
     cycle, p = verdict.cycle, verdict.period
-    grow = [math.exp(c.real) for c in cycle]  # Re c_i <= 700: find_cycle ran eval_map on each
+    grow = [math.exp(c.real) for c in cycle]  # Re c_i <= 700, else find_cycle raised
     inside = min(bailout, MAG_GUARD)
 
     def chain(rho: float, cap: float) -> list[float] | None:

@@ -98,12 +98,6 @@ class ExternalAddress:
         """The first ``n`` entries."""
         return tuple(self.entry(i) for i in range(n))
 
-    def shifted(self) -> "ExternalAddress":
-        """The address with its first entry dropped."""
-        if self.prefix:
-            return ExternalAddress(self.prefix[1:], self.tail)
-        return ExternalAddress((), self.tail[1:] + self.tail[:1])
-
     def __str__(self) -> str:
         head = ",".join(str(k) for k in self.prefix)
         rep = ",".join(str(k) for k in self.tail)
@@ -364,6 +358,6 @@ def find_domination_index(
             last_sign_positive = s_zs[n].real > 0.0
         if not last_sign_positive:
             continue
-        if s_mags[n].cmp(_double_plus(z_mags[n], kappa)) > 0:
+        if s_mags[n] > _double_plus(z_mags[n], kappa):
             return n
     return None

@@ -153,8 +153,10 @@ class TowerReal:
     # ---- comparison: lexicographic == value order under normalization ----
 
     def cmp(self, other: "TowerReal") -> int:
-        """-1, 0, or 1 as self <, ==, > other (exact, no tolerance), by the dataclass order."""
-        return (self > other) - (self < other)
+        """-1, 0, or 1 as self <, ==, > other (exact, no tolerance), in the dataclass order."""
+        if self.level != other.level:
+            return 1 if self.level > other.level else -1
+        return (self.mantissa > other.mantissa) - (self.mantissa < other.mantissa)
 
     # ---- conversion / display ----
 

@@ -31,9 +31,13 @@ from .classify import FastEscaping, classify_point, find_cycle
 from .expmap import Params, eval_map, max_modulus
 from .fatoufn import fatou_classify, fatou_eval, semiconj_residual
 from .render import (
+    TAG_BASIN,
+    TAG_FAST,
     TAG_NAMES,
+    TAG_SLOW,
     RenderSpec,
     classify_grid,
+    colorize,
     default_viewport,
     escape_fraction,
     render,
@@ -387,11 +391,6 @@ def suite_separation() -> list[Check]:
 # figures: reference renders (timing, determinism, stability, interleaving)
 
 
-def _escape_fraction_from_bytes(px: np.ndarray) -> float:
-    """Escaping fraction recovered from classification colors (0 and 96)."""
-    return float(np.count_nonzero((px == 0) | (px == 96)) / px.size)
-
-
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     """``mask``'s square maximum filter of Chebyshev radius ``radius``, with zero padding."""
     win = 2 * radius + 1
@@ -409,7 +408,8 @@ def suite_figures(threads: int | None = None) -> list[Check]:
         for a in FIGURE_PARAMS
     ]
     t0 = time.perf_counter()
-    grids = [render(s, workers=workers) for s in specs]
+    classified = [classify_grid(s, workers=workers) for s in specs]
+    grids = [colorize(s, *c) for s, c in zip(specs, classified)]
     dt = time.perf_counter() - t0
     rows.append(
         (
@@ -419,13 +419,12 @@ def suite_figures(threads: int | None = None) -> list[Check]:
         )
     )
 
-    base = grids[0].pixels
-    same = all(render(specs[0], workers=w).pixels == base for w in (1, 7))
+    same = all(render(specs[0], workers=w).pixels == grids[0].pixels for w in (1, 7))
     rows.append(
         ("figures-identity[a=-2+0i]", same, "byte-identical across 1, 7 workers")
     )
 
-    for spec, grid in zip(specs, grids):
+    for spec, (tags, _), grid in zip(specs, classified, grids):
         digest = hashlib.sha256(grid.pixels).hexdigest()
         rows.append(
             (
@@ -434,12 +433,11 @@ def suite_figures(threads: int | None = None) -> list[Check]:
                 f"pixel bytes sha256 {digest}",
             )
         )
-        px800 = np.frombuffer(grid.pixels, dtype=np.uint8)
         small = RenderSpec(
             map_kind=spec.map_kind, a=spec.a, width=400, height=400
         )
         f400 = escape_fraction(small, workers=workers)
-        f800 = _escape_fraction_from_bytes(px800)
+        f800 = float(np.mean((tags == TAG_FAST) | (tags == TAG_SLOW)))
         diff = abs(f400 - f800)
         rows.append(
             (
@@ -449,11 +447,9 @@ def suite_figures(threads: int | None = None) -> list[Check]:
             )
         )
 
-    px = np.frombuffer(grids[0].pixels, dtype=np.uint8).reshape(800, 800)
-    fast = px == 0
-    basin = px == 255
-    near_basin = _dilate(basin, 8)
-    violations = int(np.count_nonzero((fast & ~near_basin)[:, 200:]))
+    tags = classified[0][0]
+    near_basin = _dilate(tags == TAG_BASIN, 8)
+    violations = int(np.count_nonzero(((tags == TAG_FAST) & ~near_basin)[:, 200:]))
     rows.append(
         (
             "figures-interleaving",

@@ -29,6 +29,7 @@ from expbouquet.classify import (
 from expbouquet.expmap import Params, orbit
 from expbouquet.render import RenderSpec, classify_grid
 from expbouquet.towerfloat import TowerReal
+from expbouquet.verify import FIGURE_PARAMS
 
 P2 = Params(a=-2 + 0j)
 
@@ -524,7 +525,48 @@ class TestSettleBound:
         assert got.shape == (0,) and got.dtype == np.int64
 
 
+def _replayed(a: complex, cycle: tuple[complex, ...], mult: complex) -> complex:
+    """Check ``cycle`` and ``mult`` against a replay, bit for bit; return the closing point.
+
+    The replay is ``c_{i+1} = exp(c_i) + a`` from ``cycle[0]`` and the in-order
+    product of ``exp(c_i)``; the closing point is ``exp(c_{p-1}) + a``.
+    """
+    w, want_cycle, want_mult = cycle[0], [], complex(1.0)
+    for _ in cycle:
+        want_cycle.append(w)
+        e = cmath.exp(w)
+        want_mult *= e
+        w = e + a
+    bits = lambda zs: [(z.real.hex(), z.imag.hex()) for z in zs]
+    assert bits(cycle) == bits(want_cycle)
+    assert bits([mult]) == bits([want_mult])
+    return w
+
+
 class TestFindCycle:
+    @pytest.mark.parametrize("a", FIGURE_PARAMS)
+    def test_figure_cycles_equal_their_replay(self, a):
+        p = Params(a=a)
+        verdict = classify_param(p)
+        assert isinstance(verdict, Attracting)
+        _replayed(a, verdict.cycle, verdict.multiplier)
+        cycle, mult = find_cycle(p, verdict.cycle[0] + 1e-3, verdict.period)
+        assert len(cycle) == verdict.period
+        assert abs(_replayed(a, cycle, mult) - cycle[0]) < 1e-10
+        assert abs(cycle[0] - verdict.cycle[0]) < 1e-8
+
+    def test_cycle_after_a_rejected_candidate_equals_its_replay(self):
+        # the start point of test_line_search_halves_past_an_overflow: the full
+        # Newton step is rejected, so the cycle must come from an accepted one
+        cycle, mult = find_cycle(P2, 1e-3 + 0j, 1)
+        assert abs(_replayed(-2 + 0j, cycle, mult) - cycle[0]) < 1e-10
+
+    def test_cycle_point_past_the_overflow_line_raises(self):
+        # a = 705 - e^705 puts a fixed point at 705, where exp still has a float
+        # form; the loose tol accepts the start point as it is
+        with pytest.raises(OverflowError):
+            find_cycle(Params(a=705 - cmath.exp(705)), 705 + 0j, 1, tol=1e3)
+
     def test_refines_attracting_fixed_point(self):
         cycle, mult = find_cycle(P2, -1.8 + 0j, 1)
         assert cycle[0].real == pytest.approx(ATTRACTING_FP, abs=1e-12)

@@ -565,6 +565,11 @@ class TestVerifyCommand:
             "differential[fatou,iter=60]", True, "0 of 48 pixels disagree"
         )
 
+    @pytest.mark.parametrize("spec", verify.DIFFERENTIAL_GRIDS, ids=verify.differential_name)
+    def test_differential_grid_agrees(self, spec):
+        name, ok, detail = verify.differential_row(spec)
+        assert ok, f"{name}: {detail}"
+
     def test_seed_override_via_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("EXPBOUQUET_SEED", "7")
         code, out, _ = run(["verify", "tower"], capsys)

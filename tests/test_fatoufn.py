@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expbouquet.classify import EscapingSlow, NonEscapingBounded, Undecided
-from expbouquet.expmap import orbit_to_csv
+from expbouquet.expmap import orbit, orbit_to_csv
 from expbouquet.fatoufn import (
     fatou_classify,
     fatou_eval,
@@ -78,6 +78,11 @@ class TestOrbit:
         assert len(samples) == 42
         assert abs(samples[-2].z) <= 100.0 < abs(samples[-1].z)
         assert samples[-1].status == "in-range"
+
+    def test_stops_at_a_seed_past_the_bailout(self):
+        samples = fatou_orbit(200 + 0j, depth=5, bailout=100.0)
+        assert [(s.n, s.z, s.status) for s in samples] == [(0, 200 + 0j, "in-range")]
+        assert len(samples) == len(orbit(-2 + 0j, 200 + 0j, depth=5, bailout=100.0))
 
     def test_underflow_wall_records_one_tower_sample(self):
         samples = fatou_orbit(-800 + 0j, depth=5)

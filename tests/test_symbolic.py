@@ -50,16 +50,14 @@ class TestExternalAddress:
     def test_trailing_tail_copies_absorbed(self):
         assert ExternalAddress((0, 0), (0,)) == ExternalAddress((), (0,))
         assert ExternalAddress((5, 1), (0, 1)) == ExternalAddress((5,), (1, 0))
+        # the whole prefix absorbed: the tail rotates down to an empty prefix
+        assert ExternalAddress((1,), (0, 1)) == ExternalAddress((), (1, 0))
+        assert ExternalAddress((), (1, 0)) != ExternalAddress((), (0, 1))
 
     def test_entries(self):
         s = ExternalAddress((7,), (0, 1))
         assert s.entries(6) == (7, 0, 1, 0, 1, 0)
         assert s.entry(0) == 7 and s.entry(4) == 1
-
-    def test_shifted(self):
-        s = ExternalAddress((7,), (0, 1))
-        assert s.shifted() == ExternalAddress((), (0, 1))
-        assert s.shifted().shifted() == ExternalAddress((), (1, 0))
 
     def test_entries_clipped(self):
         s = ExternalAddress((), (2**30,))

@@ -1,6 +1,7 @@
 """Tests for the level/mantissa tower representation of huge magnitudes."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -195,6 +196,24 @@ class TestCompareAndValue:
         assert TowerReal.from_real(3.0).cmp(TowerReal.from_real(4.0)) == -1
         assert TowerReal(1, LN_H).cmp(TowerReal(0, 9e14)) == 1
         assert TowerReal(1, 40.0).cmp(TowerReal(1, 40.0)) == 0
+
+    def test_cmp_is_the_sign_of_the_dataclass_order(self):
+        rng = random.Random(0)
+        # few mantissas per level, so equal levels and equal towers are common
+        ground = [-9e14, -700.0, -2.5, -0.0, 0.0, 2.5, LN_H, 9e14]
+        upper = [LN_H, 40.0, 700.0, 9e14]
+
+        def draw() -> TowerReal:
+            if rng.random() < 0.5:
+                return TowerReal(0, rng.choice(ground))
+            return TowerReal(rng.randint(1, 3), rng.choice(upper))
+
+        pairs = [(draw(), draw()) for _ in range(4000)]
+        assert any(t == u for t, u in pairs)
+        assert any(t.level == u.level and t != u for t, u in pairs)
+        assert any(t.mantissa < 0 and u.mantissa < 0 and t != u for t, u in pairs)
+        for t, u in pairs:
+            assert t.cmp(u) == (t > u) - (t < u)
 
     def test_rich_comparisons(self):
         small, big = TowerReal.from_real(1.0), TowerReal(2, 40.0)
