@@ -440,16 +440,17 @@ def _detect_param_cycle(
         if abs(zs[last] - zs[last - q]) >= loose:
             continue
         try:
-            cycle, _ = find_cycle(p, zs[last], q, PARAM_REFINE_TOL)
+            cycle, mult = find_cycle(p, zs[last], q, PARAM_REFINE_TOL)
         except ConvergenceError:
             continue
         # minimal period: the least divisor d < q with cycle[d] = f^d(cycle[0])
         # back at cycle[0], else q
         d = next((d for d in range(1, q) if q % d == 0 and abs(cycle[d] - cycle[0]) < 1e-8), q)
         points = cycle[:d]
-        mult = complex(1.0)
-        for c in points:
-            mult *= cmath.exp(c)
+        if d < q:  # find_cycle's multiplier is the same product over all q points
+            mult = complex(1.0)
+            for c in points:
+                mult *= cmath.exp(c)
         mod = abs(mult)
         # The parabolic band is tested first: a refined double root always
         # lands slightly inside the unit circle, never exactly on it.

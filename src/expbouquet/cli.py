@@ -153,7 +153,7 @@ def _fmt_real(x: float) -> str:
 # declares the --flag-name argument and converts --config values.
 _Option = tuple[Callable[[str], Any], Any, str]
 
-_THREADS: _Option = (_arg_positive_int, None, "worker count")
+_THREADS: _Option = (_arg_positive_int, None, "worker threads")
 
 
 def _load_config(path: str) -> dict[str, str]:

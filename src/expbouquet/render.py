@@ -24,18 +24,17 @@ it is read otherwise: a pixel exits in closed form when its run ends by
 argument).  Both kernels leave their sets through :func:`_cut`.  The
 grid is cut into fixed horizontal blocks that are pure functions of the
 render description, so output bytes are identical across runs, worker
-counts and scheduling orders; the blocks are written into shared memory
-(:func:`classify_grid`).
+counts and scheduling orders; a pool of threads in one process writes
+the blocks into the result arrays (:func:`classify_grid`).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import mmap
-import multiprocessing
 import operator
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -75,7 +74,9 @@ _CLASS_COLORS = np.array([0, 96, 192, 255, 128], dtype=np.uint8)
 # Widest row of one 300 MB work block: the exponential kernel holds at most
 # about 1 kB per pixel (43 tail rows plus per-step temporaries, when every
 # pixel stays in the set, or a 32-byte record per pixel that exits within
-# max_iter) whatever max_iter is, and a block holds at least one row.
+# max_iter) whatever max_iter is, and a block holds at least one row.  A pool
+# has ``workers`` blocks in flight in one process, so its kernels hold up to
+# ``workers`` times this.
 _MAX_WIDTH = 300_000
 
 # Outward rounding of a trapping disc: a point whose computed distance to the
@@ -278,7 +279,7 @@ def _exp_caches(spec: RenderSpec) -> tuple[tuple | None, np.ndarray | None]:
 
     Also builds the domination table that the kernel's offset bounds read
     (:func:`expbouquet.classify._direct_bound`), so one call leaves every
-    cache of the kernel built; pool workers forked after it inherit them.
+    cache of the kernel built; pool threads started after it only read them.
     """
     _domination_table(spec.a, spec.max_iter)
     return (
@@ -631,27 +632,6 @@ def _fatou_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarra
     return tags.reshape(rows, spec.width), exits.reshape(rows, spec.width)
 
 
-# The (tags, exits) arrays that a pool worker fills, set by its initializer.
-_worker_out: tuple[np.ndarray, np.ndarray] | None = None
-
-
-def _attach(out: tuple[np.ndarray, np.ndarray]) -> None:
-    """Pool initializer: keep the shared result arrays for :func:`_fill_shared`."""
-    global _worker_out
-    _worker_out = out
-
-
-def _fill(out: tuple[np.ndarray, np.ndarray], spec: RenderSpec, y_start: int, y_stop: int) -> None:
-    """Classify rows ``[y_start, y_stop)`` into the (tags, exits) arrays ``out``."""
-    kernel = _exp_block if spec.map_kind == "exponential" else _fatou_block
-    tags, exits = out
-    tags[y_start:y_stop], exits[y_start:y_stop] = kernel(spec, y_start, y_stop)
-
-
-def _fill_shared(block: tuple[RenderSpec, int, int]) -> None:
-    _fill(_worker_out, *block)
-
-
 def classify_grid(spec: RenderSpec, workers: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel classification tags and first-exit steps for a raster.
 
@@ -662,13 +642,14 @@ def classify_grid(spec: RenderSpec, workers: int | None = None) -> tuple[np.ndar
     kernel's cuts, which give the tag and exit of the full pass
     (:func:`_exp_block` and :func:`_trapping_discs` have the arguments).
 
-    Tags and exits are written into one anonymous shared mapping, by the
-    serial path and the pool alike.  With a pool, the parent builds the
-    kernel's caches (:func:`_exp_caches`) before it forks, so the workers
-    inherit them, and the workers write their blocks straight into the
-    mapping, handed to them by the pool initializer; no block is sent back
-    through a pipe.  An error in a block propagates, and the pool's workers
-    are stopped and reaped.
+    Each block writes its rows into the two result arrays, inline for one
+    worker or one block, else from a pool of ``workers`` threads in this
+    process; NumPy releases the GIL inside the kernels' loops, so blocks
+    overlap.  The kernel's caches (:func:`_exp_caches`) are built before
+    the pool starts, so no two threads build the same entry, and the
+    kernels read no other module state.  An error in a block propagates,
+    the blocks not yet started are cancelled, and every pool thread has
+    ended when the call returns.
     """
     if workers is None:
         try:
@@ -676,22 +657,26 @@ def classify_grid(spec: RenderSpec, workers: int | None = None) -> tuple[np.ndar
         except AttributeError:  # no CPU affinity on this platform
             workers = os.cpu_count() or 1
     rows = _block_rows(spec)
-    blocks = [(spec, y, min(y + rows, spec.height)) for y in range(0, spec.height, rows)]
-    shape = (spec.height, spec.width)
-    npix = spec.height * spec.width
-    # exits (int64), then tags; the returned arrays keep the mapping alive
-    shared = mmap.mmap(-1, 9 * npix)
-    exits = np.frombuffer(shared, dtype=np.int64, count=npix).reshape(shape)
-    tags = np.frombuffer(shared, dtype=np.uint8, count=npix, offset=8 * npix).reshape(shape)
+    blocks = [(y, min(y + rows, spec.height)) for y in range(0, spec.height, rows)]
+    kernel = _exp_block if spec.map_kind == "exponential" else _fatou_block
+    tags = np.empty((spec.height, spec.width), dtype=np.uint8)
+    exits = np.empty((spec.height, spec.width), dtype=np.int64)
+
+    def fill(y_start: int, y_stop: int) -> None:
+        tags[y_start:y_stop], exits[y_start:y_stop] = kernel(spec, y_start, y_stop)
+
     if workers <= 1 or len(blocks) == 1:
         for block in blocks:
-            _fill((tags, exits), *block)
+            fill(*block)
         return tags, exits
     if spec.map_kind == "exponential":
-        _exp_caches(spec)  # built once here, inherited by every worker
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(workers, len(blocks)), _attach, ((tags, exits),)) as pool:
-        pool.map(_fill_shared, blocks, chunksize=1)
+        _exp_caches(spec)  # built here, so no two threads build one entry
+    pool = ThreadPoolExecutor(min(workers, len(blocks)))
+    try:
+        for done in [pool.submit(fill, *block) for block in blocks]:
+            done.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     return tags, exits
 
 

@@ -617,6 +617,17 @@ class TestFindCycle:
         cycle, mult = find_cycle(p, verdict.cycle[0], 2)
         assert mult == pytest.approx(cmath.exp(cycle[0] + cycle[1]), rel=1e-9)
 
+    @pytest.mark.parametrize("a", FIGURE_PARAMS)
+    def test_figure_multiplier_is_find_cycles_own(self, a):
+        # from its own first point, find_cycle accepts the cycle at once and
+        # returns the multiplier its Newton walk computed, bit for bit
+        p = Params(a=a)
+        verdict = classify_param(p)
+        assert isinstance(verdict, Attracting)
+        cycle, mult = find_cycle(p, verdict.cycle[0], verdict.period, classify.PARAM_REFINE_TOL)
+        assert cycle == verdict.cycle
+        assert verdict.multiplier == mult
+
 
 class TestClassifyParam:
     def test_attracting_fixed_point(self):

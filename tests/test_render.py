@@ -3,8 +3,9 @@
 import cmath
 import hashlib
 import math
-import multiprocessing
+import os
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -581,6 +582,14 @@ class TestDeterminism:
         assert render(spec, workers=3).pixels == base
         assert render(spec, workers=8).pixels == base
 
+    def test_drift_worker_counts_agree_byte_for_byte(self):
+        spec = RenderSpec(map_kind="fatou", width=96, height=160, max_iter=60)
+        assert _block_rows(spec) == 64  # three blocks, the last one short
+        base = classify_grid(spec, workers=1)
+        for workers in (3, 8):
+            got = classify_grid(spec, workers=workers)
+            assert all(np.array_equal(g, b) for g, b in zip(got, base)), workers
+
     def test_repeated_runs_identical(self):
         assert render(SMALL, workers=2).pixels == render(SMALL, workers=2).pixels
 
@@ -611,20 +620,27 @@ class TestSharedResults:
 
         monkeypatch.setattr(module, "_exp_block", failing)
         spec = _exp_spec(-2, max_iter=20, size=128)  # two 64-row blocks
+        before = threading.enumerate()
         with pytest.raises(RuntimeError, match="block at row 64"):
             classify_grid(spec, workers=2)
-        assert multiprocessing.active_children() == []
+        assert threading.enumerate() == before
 
     def test_more_workers_than_cores_fill_every_block(self):
-        # 16 blocks written into one shared mapping by 8 workers: a lost or
+        # 16 blocks written into the result arrays by 8 threads: a lost or
         # misplaced block write changes the bytes.
         spec = _exp_spec(1.004 + 2.9j, max_iter=40, size=16, viewport=(-1.0, 3.0, -2.0, 14.0))
         spec = replace(spec, height=1024)
         want = classify_grid(spec, workers=1)
         got = classify_grid(spec, workers=8)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        # the mapping reaches the workers through the pool initializer only
-        assert _render_module()._worker_out is None
+
+    def test_pool_starts_no_process(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("classify_grid started a process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        spec = _exp_spec(-2, max_iter=20, size=128)  # two 64-row blocks
+        assert classify_grid(spec, workers=2)[0].shape == (128, 128)
 
 
 class TestKernelMemory:
