@@ -24,6 +24,8 @@ from .expmap import (
     MAG_GUARD,
     RE_OVERFLOW,
     Params,
+    _check_bailout,
+    _check_count,
     _finite,
     _track,
     max_modulus_iterates,
@@ -273,10 +275,8 @@ def classify_point(
     tower; they are matched against cycles of period up to 32, with the
     verdict re-checked 10 iterations past ``depth``.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if not 0.0 < bailout <= MAG_GUARD:
-        raise ValueError("bailout must be in (0, 1e15]")
+    _check_count("depth", depth)
+    _check_bailout(bailout)
     zs = _track(p.a, _finite("seed", z), depth + 10, bailout)
     exit_step = next(
         (n for n, w in enumerate(zs[: depth + 1]) if w is None or abs(w) > bailout), None
@@ -333,8 +333,7 @@ def find_cycle(
     :class:`ConvergenceError` after 200 Newton steps without convergence,
     and :class:`OverflowError` if a cycle point has ``Re z > 700``.
     """
-    if period < 1:
-        raise ValueError("period must be >= 1")
+    _check_count("period", period)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     a = p.a
@@ -401,8 +400,7 @@ def classify_param(p: Params, max_period: int = 32, depth: int = 2000) -> ParamC
     cycle (finite singular orbit), escape past the representable range,
     else undetermined.
     """
-    if max_period < 1:
-        raise ValueError("max_period must be >= 1")
+    _check_count("max_period", max_period)
     if depth < 100:
         raise ValueError("depth must be >= 100")
     a = p.a

@@ -157,7 +157,11 @@ _THREADS: _Option = (_arg_positive_int, None, "worker threads")
 
 
 def _load_config(path: str) -> dict[str, str]:
-    """Read a plain ``key = value`` config file (``#`` starts a comment)."""
+    """Read a plain ``key = value`` config file.
+
+    A line whose first non-blank character is ``#`` is a comment; a later
+    ``#`` is part of the value, since ``out`` and ``csv`` paths may hold one.
+    """
     raw: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):

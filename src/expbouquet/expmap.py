@@ -111,6 +111,18 @@ def _finite(name: str, z: complex) -> complex:
     return complex(z)
 
 
+def _check_bailout(bailout: float) -> None:
+    """:class:`ValueError` unless ``0 < bailout <= 1e15`` (NaN fails)."""
+    if not 0.0 < bailout <= MAG_GUARD:
+        raise ValueError("bailout must be in (0, 1e15]")
+
+
+def _check_count(name: str, n: int) -> None:
+    """:class:`ValueError` naming ``name`` unless ``n >= 1``."""
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 def _track(a: complex, z0: complex, steps: int, bailout: float) -> list[complex | None]:
     """Iterate ``steps`` steps of the direct complex track.
 
@@ -170,10 +182,8 @@ def orbit(a: complex, z0: complex, depth: int, bailout: float = 1e10) -> list[Or
     The seed is always ``"in-range"``.  Requires ``bailout <= 1e15`` and
     finite moduli ``|a|`` and ``|z0|`` (else :class:`ValueError`).
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if not 0.0 < bailout <= MAG_GUARD:
-        raise ValueError("bailout must be in (0, 1e15]")
+    _check_count("depth", depth)
+    _check_bailout(bailout)
     zs = _track(_finite("parameter a", a), _finite("seed", z0), depth, bailout)
     samples: list[OrbitSample] = []
     for n, (z, mag) in enumerate(zip(zs, _towers(a, zs, bailout))):

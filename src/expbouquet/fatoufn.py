@@ -15,7 +15,7 @@ import cmath
 import math
 
 from .classify import EscapingSlow, NonEscapingBounded, PointClass, Undecided
-from .expmap import MAG_GUARD, _TINY, OrbitSample, _finite
+from .expmap import _TINY, OrbitSample, _check_bailout, _check_count, _finite
 from .towerfloat import TowerReal
 
 __all__ = [
@@ -91,10 +91,8 @@ def fatou_orbit(z0: complex, depth: int, bailout: float = 1e10) -> list[OrbitSam
     the orbit ends there: past that point not even the magnitude admits
     a usable model.  Requires a finite ``|z0|`` (else :class:`ValueError`).
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if not 0.0 < bailout <= MAG_GUARD:
-        raise ValueError("bailout must be in (0, 1e15]")
+    _check_count("depth", depth)
+    _check_bailout(bailout)
     w = _finite("seed", z0)
     samples: list[OrbitSample] = []
     for n in range(depth + 1):
@@ -119,8 +117,7 @@ def fatou_classify(z: complex, depth: int = 100) -> PointClass:
     is linear, so this replaces a bailout test); bounded when the orbit
     stays inside ``|z| <= 1e6`` for ``depth`` steps; undecided otherwise.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_count("depth", depth)
     w = _finite("seed", z)
     max_abs = abs(w)
     run = 0

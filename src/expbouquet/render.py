@@ -43,7 +43,7 @@ import numpy as np
 
 from .classify import ATTRACT_CUT, CYCLE_DETECT_TOL, Attracting, classify_param
 from .classify import _UNIT_ROUNDOFF, _direct_bound, _domination_table, _settle_bound
-from .expmap import MAG_GUARD, RE_OVERFLOW, Params
+from .expmap import MAG_GUARD, RE_OVERFLOW, Params, _check_bailout, _check_count
 from .fatoufn import BOUNDED_BOX, DRIFT_THRESHOLD, DRIFT_WINDOW, _RE_UNDERFLOW
 
 __all__ = [
@@ -126,10 +126,8 @@ class RenderSpec:
             raise ValueError("viewport must satisfy x_min < x_max, y_min < y_max")
         if not (0 < self.width <= _MAX_WIDTH and 0 < self.height <= 10**8 // self.width):
             raise ValueError(f"grid must be nonempty, width <= {_MAX_WIDTH}, width*height <= 1e8")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not 0.0 < self.bailout <= MAG_GUARD:
-            raise ValueError("bailout must be in (0, 1e15]")
+        _check_count("max_iter", self.max_iter)
+        _check_bailout(self.bailout)
         if self.map_kind == "exponential":
             Params(self.a)  # the kernel's parameter check; the drift map ignores a
         object.__setattr__(self, "a", complex(self.a))
@@ -403,17 +401,8 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     (:func:`_basin_mask`) on the same points.  A pixel that is both in a
     disc and on ``a`` gets ``Basin`` from both.  The scalar
     ``classify_point`` takes neither shortcut: it is their independent
-    oracle.  Step 0 compares the whole set with ``a``; a later step
-    compares only the pixels with ``|z_{s-1}| > -T_a``, ``T_a = ln
-    ulp(A) + 1`` for ``A`` the larger of ``|Re a|`` and ``|Im a|``, taken
-    from the previous step's ``|z|`` after its compaction.  ``z_s ==
-    a`` needs both components of ``np.exp(z_{s-1})`` to vanish against
-    ``a``'s, so each is at most ``ulp(A) / 2`` (exactly 0 against a zero
-    component, which ``ulp(0)``, the least subnormal, also bounds); one of
-    them is at least ``e^{Re z_{s-1}} / sqrt 2`` up to a few ulps, so
-    ``Re z_{s-1} < T_a`` (below ``ln ulp(A) - 0.34``).  The table needs
-    ``|a| <= bailout <= 1e15``, so ``ulp(A) <= 1/8`` and ``T_a < 0``,
-    and then ``|z_{s-1}| >= -Re z_{s-1} > -T_a``.
+    oracle.  At each such step one compare of the whole set with ``a``
+    finds these pixels.
 
     The loop stops once the set is empty, and basin detection runs only on
     a nonempty set: an empty set has no step, no tail and no basin left.
@@ -441,9 +430,6 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
             largest.append((cycle[i], radii[i], abs(cycle[i])))
         last_retire = depth - p
     last_singular = -1 if singular is None else max(0, depth - 32)
-    # At a step s >= 1 only pixels with |z_{s-1}| past this can have z_s == a.
-    near_a = -1.0 - math.log(math.ulp(max(abs(a.real), abs(a.imag))))
-    on_a = None  # positions of z_s to compare with a; None compares the whole set
 
     # The direct set in set order: pixel[i] is the raster index of position
     # i, whose point is z[i].  Tags and exits are in raster order.
@@ -483,7 +469,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                     tags[pixel[near]] = TAG_BASIN
                     retired.append(near)
             if n <= last_singular:
-                hit = np.flatnonzero(z == a) if on_a is None else on_a[z[on_a] == a]
+                hit = np.flatnonzero(z == a)
                 if hit.size:
                     tags[pixel[hit]] = singular[n]
                     retired.append(hit)
@@ -509,8 +495,6 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                 np.maximum(offset, _direct_bound(a, depth, n, az), out=offset)
             if n >= depth - 32:  # basin detection reads these steps
                 tail.append(z)
-            if n < last_singular:
-                on_a = np.flatnonzero(az > near_a)
             z = np.exp(z) + a
             az = np.abs(z)
 

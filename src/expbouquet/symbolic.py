@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .classify import FastEscaping, classify_point
-from .expmap import Params, _towers, _track, eval_map
+from .expmap import Params, _check_count, _towers, _track, eval_map
 from .towerfloat import TowerReal
 
 __all__ = [
@@ -216,8 +216,7 @@ def trace_hair(
     The anchor defaults to ``max(10, radius)`` and must be finite; the
     residual compares the pullbacks at ``depth`` and ``depth - 1``.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_count("depth", depth)
     anchor = _anchor(p, anchor)
     word = s.entries(depth)
     z = _pullback(p, word, anchor)
@@ -280,8 +279,7 @@ def separation_index(p: Params, z0: complex, z1: complex, depth: int) -> Optiona
     Returns None when no mismatch occurs within ``depth`` steps; raises
     :class:`OverflowError` if either orbit leaves direct range first.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_count("depth", depth)
     # zip steps z0's orbit before z1's, and stops at the first mismatch
     pairs = zip(_strips(p, z0, depth), _strips(p, z1, depth))
     return next((n for n, (k0, k1) in enumerate(pairs) if k0 != k1), None)
@@ -338,8 +336,7 @@ def find_domination_index(
     """
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_count("depth", depth)
     cls_depth = max(depth, 10)
     s_class = classify_point(p, s, cls_depth, bailout)
     if not isinstance(s_class, FastEscaping):

@@ -22,7 +22,8 @@ import hashlib
 import math
 import os
 import time
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,6 +74,10 @@ FIGURE_SHA256 = {
 }
 
 
+# Seeded values behind the tower suite's arithmetic laws.
+_TOWER_VALUES = 100_000
+
+
 def _seed() -> int:
     return int(os.environ.get("EXPBOUQUET_SEED", "0") or "0")
 
@@ -87,67 +92,75 @@ def format_check(row: Check) -> str:
     return f"{line} ({detail})" if detail else line
 
 
+@contextmanager
+def _runtime(rows: list[Check], name: str, budget: float) -> Iterator[None]:
+    """Time the block, then append row ``<name>-runtime``: ok under ``budget`` seconds."""
+    t0 = time.perf_counter()
+    yield
+    dt = time.perf_counter() - t0
+    rows.append((f"{name}-runtime", dt < budget, f"{dt:.3f}s (budget {budget:g}s)"))
+
+
 # ---------------------------------------------------------------------------
 # tower: arithmetic laws of the level/mantissa representation
 
 
-def suite_tower(n_values: int = 100_000) -> list[Check]:
+def suite_tower() -> list[Check]:
     """Round-trip, monotonicity, and ordinary-range laws over seeded values."""
     rng = np.random.default_rng(_seed())
     # Mixed-scale sample: signed log-uniform magnitudes plus a plain
     # uniform band.  Negative values stay above -H (unrepresentable below).
-    n_log = n_values - n_values // 4
+    n_log = _TOWER_VALUES - _TOWER_VALUES // 4
     u = rng.uniform(-40.0, 700.0, n_log)
     sign = rng.choice(np.array([-1.0, 1.0]), n_log)
     u[sign < 0] = np.minimum(u[sign < 0], 34.0)
-    xs = np.concatenate([sign * np.exp(u), rng.uniform(-1e3, 1e3, n_values // 4)])
+    xs = np.concatenate([sign * np.exp(u), rng.uniform(-1e3, 1e3, _TOWER_VALUES // 4)])
     rng.shuffle(xs)
     values = xs.tolist()
-
-    t0 = time.perf_counter()
-    from_real = TowerReal.from_real
-    exp_fn = math.exp
-    rt_fail = mono_fail = ord_fail = 0
-    prev_x = values[0]
-    prev_t = from_real(prev_x)
-    prev_e = prev_t.exp()
-    for x in values:
-        t = from_real(x)
-        e = t.exp()
-        # Ordinary range: from_real is exact below H, exp agrees with the
-        # float exponential while that stays finite.
-        if abs(x) < H and t.value() != x:
-            ord_fail += 1
-        if x <= 700.0:
-            ev = e.value()
-            if not math.isfinite(ev) or abs(ev - exp_fn(x)) > 1e-12 * exp_fn(x):
-                ord_fail += 1
-        # Round-trip: ln(exp(t)) recovers t (ln needs a positive value, so
-        # stay above the underflow floor of exp).
-        if x > -700.0:
-            r = e.ln()
-            if r.level != t.level or abs(r.mantissa - t.mantissa) > 1e-12 * max(
-                1.0, abs(t.mantissa)
-            ):
-                rt_fail += 1
-        # Monotonicity: comparisons follow the float order, and exp never
-        # inverts order.  (Strictness can be lost to rounding: distinct
-        # inputs near 0 or below the underflow floor share an exponential.)
-        want = (x > prev_x) - (x < prev_x)
-        if t.cmp(prev_t) != want:
-            mono_fail += 1
-        elif want != 0 and e.cmp(prev_e) == -want:
-            mono_fail += 1
-        prev_x, prev_t, prev_e = x, t, e
-    dt = time.perf_counter() - t0
-
     n = len(values)
-    return [
-        ("tower-roundtrip", rt_fail == 0, f"{rt_fail} failures over {n} values"),
-        ("tower-monotone", mono_fail == 0, f"{mono_fail} failures over {n} values"),
-        ("tower-ordinary-range", ord_fail == 0, f"{ord_fail} failures over {n} values"),
-        ("tower-runtime", dt < 2.0, f"{dt:.3f}s (budget 2s)"),
-    ]
+
+    rows: list[Check] = []
+    with _runtime(rows, "tower", 2.0):
+        from_real = TowerReal.from_real
+        exp_fn = math.exp
+        rt_fail = mono_fail = ord_fail = 0
+        prev_x = values[0]
+        prev_t = from_real(prev_x)
+        prev_e = prev_t.exp()
+        for x in values:
+            t = from_real(x)
+            e = t.exp()
+            # Ordinary range: from_real is exact below H, exp agrees with the
+            # float exponential while that stays finite.
+            if abs(x) < H and t.value() != x:
+                ord_fail += 1
+            if x <= 700.0:
+                ev = e.value()
+                if not math.isfinite(ev) or abs(ev - exp_fn(x)) > 1e-12 * exp_fn(x):
+                    ord_fail += 1
+            # Round-trip: ln(exp(t)) recovers t (ln needs a positive value, so
+            # stay above the underflow floor of exp).
+            if x > -700.0:
+                r = e.ln()
+                if r.level != t.level or abs(r.mantissa - t.mantissa) > 1e-12 * max(
+                    1.0, abs(t.mantissa)
+                ):
+                    rt_fail += 1
+            # Monotonicity: comparisons follow the float order, and exp never
+            # inverts order.  (Strictness can be lost to rounding: distinct
+            # inputs near 0 or below the underflow floor share an exponential.)
+            want = (x > prev_x) - (x < prev_x)
+            if t.cmp(prev_t) != want:
+                mono_fail += 1
+            elif want != 0 and e.cmp(prev_e) == -want:
+                mono_fail += 1
+            prev_x, prev_t, prev_e = x, t, e
+        rows += [
+            ("tower-roundtrip", rt_fail == 0, f"{rt_fail} failures over {n} values"),
+            ("tower-monotone", mono_fail == 0, f"{mono_fail} failures over {n} values"),
+            ("tower-ordinary-range", ord_fail == 0, f"{ord_fail} failures over {n} values"),
+        ]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -184,42 +197,38 @@ def circle_max_oracle(a: complex, r: float, n: int = 1 << 18) -> float:
 def suite_maxmod() -> list[Check]:
     """Closed-form circle maximum vs. brute force, then growth inequalities."""
     rows: list[Check] = []
-    t0 = time.perf_counter()
-    for a in ORACLE_PARAMS:
-        worst = 0.0
-        for r in ORACLE_RADII:
-            got = max_modulus(a, r)
-            want = circle_max_oracle(a, r)
-            worst = max(worst, abs(got - want) / want)
-        rows.append(
-            (
-                f"maxmod-oracle[a={_fmt_complex(a)}]",
-                worst < 1e-6,
-                f"max rel err {worst:.3e} over 5 radii",
+    with _runtime(rows, "maxmod-oracle", 5.0):
+        for a in ORACLE_PARAMS:
+            worst = 0.0
+            for r in ORACLE_RADII:
+                got = max_modulus(a, r)
+                want = circle_max_oracle(a, r)
+                worst = max(worst, abs(got - want) / want)
+            rows.append(
+                (
+                    f"maxmod-oracle[a={_fmt_complex(a)}]",
+                    worst < 1e-6,
+                    f"max rel err {worst:.3e} over 5 radii",
+                )
             )
-        )
-    dt = time.perf_counter() - t0
-    rows.append(("maxmod-oracle-runtime", dt < 5.0, f"{dt:.3f}s (budget 5s)"))
 
-    t0 = time.perf_counter()
-    for a in ORACLE_PARAMS:
-        big = 3.0 + 2.0 * abs(a)
-        ok = True
-        for k in range(101):
-            r = big + k
-            m = max_modulus(a, r)
-            if not (m > r and m - r >= math.exp(r - 1.0) - r):
-                ok = False
-                break
-        rows.append(
-            (
-                f"maxmod-growth[a={_fmt_complex(a)}]",
-                ok,
-                "M(r) > r and M(r)-r >= e^(r-1)-r on 101 radii",
+    with _runtime(rows, "maxmod-growth", 1.0):
+        for a in ORACLE_PARAMS:
+            big = 3.0 + 2.0 * abs(a)
+            ok = True
+            for k in range(101):
+                r = big + k
+                m = max_modulus(a, r)
+                if not (m > r and m - r >= math.exp(r - 1.0) - r):
+                    ok = False
+                    break
+            rows.append(
+                (
+                    f"maxmod-growth[a={_fmt_complex(a)}]",
+                    ok,
+                    "M(r) > r and M(r)-r >= e^(r-1)-r on 101 radii",
+                )
             )
-        )
-    dt = time.perf_counter() - t0
-    rows.append(("maxmod-growth-runtime", dt < 1.0, f"{dt:.3f}s (budget 1s)"))
     return rows
 
 
@@ -232,42 +241,38 @@ def suite_growth_domination() -> list[Check]:
     rows: list[Check] = []
     p = Params(a=-2 + 0j)
 
-    t0 = time.perf_counter()
-    cycle, _ = find_cycle(p, -1.8 + 0j, 1)
-    fp = cycle[0]
-    kappas = (1e2, 1e3, 1e4, 3e4, 1e5)
-    ns = [find_domination_index(p, 10 + 0j, fp, k, depth=64) for k in kappas]
-    dt = time.perf_counter() - t0
-    rows.append(("domination[kappa=1000]", ns[1] == 1, f"n={ns[1]}"))
-    rows.append(("domination[kappa=30000]", ns[3] == 2, f"n={ns[3]}"))
-    finite = all(n is not None for n in ns)
-    monotone = finite and all(ns[i] <= ns[i + 1] for i in range(len(ns) - 1))
-    rows.append(
-        (
-            "domination-monotone",
-            monotone,
-            "n(kappa)=" + ",".join(str(n) for n in ns) + " over kappa=1e2..1e5",
+    with _runtime(rows, "domination", 1.0):
+        cycle, _ = find_cycle(p, -1.8 + 0j, 1)
+        fp = cycle[0]
+        kappas = (1e2, 1e3, 1e4, 3e4, 1e5)
+        ns = [find_domination_index(p, 10 + 0j, fp, k, depth=64) for k in kappas]
+        rows.append(("domination[kappa=1000]", ns[1] == 1, f"n={ns[1]}"))
+        rows.append(("domination[kappa=30000]", ns[3] == 2, f"n={ns[3]}"))
+        finite = all(n is not None for n in ns)
+        monotone = finite and all(ns[i] <= ns[i + 1] for i in range(len(ns) - 1))
+        rows.append(
+            (
+                "domination-monotone",
+                monotone,
+                "n(kappa)=" + ",".join(str(n) for n in ns) + " over kappa=1e2..1e5",
+            )
         )
-    )
-    rows.append(("domination-runtime", dt < 1.0, f"{dt:.3f}s (budget 1s)"))
 
-    t0 = time.perf_counter()
-    margin = real_part_margin(p, SeparationConfig(c=3.0, delta=2.0 * math.pi + 1.0))
-    rows.append(("margin-exact", margin == 13.0, f"margin={margin!r} (want 13.0)"))
-    rng = np.random.default_rng(_seed())
-    bad = 0
-    for _ in range(100):
-        a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        cfg = SeparationConfig(
-            c=float(rng.uniform(1.0, 20.0)),
-            delta=2.0 * math.pi + float(rng.uniform(0.0, 20.0)),
-        )
-        q = Params(a=a)
-        if not real_part_margin(q, cfg) >= q.radius + 6.0:
-            bad += 1
-    dt = time.perf_counter() - t0
-    rows.append(("margin-dominates-radius", bad == 0, f"{bad} failures over 100 configs"))
-    rows.append(("margin-runtime", dt < 1.0, f"{dt:.3f}s (budget 1s)"))
+    with _runtime(rows, "margin", 1.0):
+        margin = real_part_margin(p, SeparationConfig(c=3.0, delta=2.0 * math.pi + 1.0))
+        rows.append(("margin-exact", margin == 13.0, f"margin={margin!r} (want 13.0)"))
+        rng = np.random.default_rng(_seed())
+        bad = 0
+        for _ in range(100):
+            a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            cfg = SeparationConfig(
+                c=float(rng.uniform(1.0, 20.0)),
+                delta=2.0 * math.pi + float(rng.uniform(0.0, 20.0)),
+            )
+            q = Params(a=a)
+            if not real_part_margin(q, cfg) >= q.radius + 6.0:
+                bad += 1
+        rows.append(("margin-dominates-radius", bad == 0, f"{bad} failures over 100 configs"))
     return rows
 
 
@@ -281,28 +286,26 @@ def suite_semiconj() -> list[Check]:
     rng = np.random.default_rng(_seed())
     pts = rng.uniform(-5.0, 5.0, (10_000, 2))
 
-    t0 = time.perf_counter()
-    worst = 0.0
-    for x, y in pts:
-        z = complex(x, y)
-        scale = max(1.0, abs(cmath.exp(-fatou_eval(z))))
-        worst = max(worst, semiconj_residual(z) / scale)
-    rows.append(("semiconj-residual", worst < 1e-12, f"max scaled residual {worst:.3e}"))
+    with _runtime(rows, "semiconj", 2.0):
+        worst = 0.0
+        for x, y in pts:
+            z = complex(x, y)
+            scale = max(1.0, abs(cmath.exp(-fatou_eval(z))))
+            worst = max(worst, semiconj_residual(z) / scale)
+        rows.append(("semiconj-residual", worst < 1e-12, f"max scaled residual {worst:.3e}"))
 
-    two_pi_i = complex(0.0, 2.0 * math.pi)
-    worst = 0.0
-    for x, y in pts[:2000]:
-        z = complex(x, y)
-        worst = max(worst, abs(fatou_eval(z + two_pi_i) - (fatou_eval(z) + two_pi_i)))
-    rows.append(("semiconj-periodicity", worst < 1e-12, f"max defect {worst:.3e}"))
+        two_pi_i = complex(0.0, 2.0 * math.pi)
+        worst = 0.0
+        for x, y in pts[:2000]:
+            z = complex(x, y)
+            worst = max(worst, abs(fatou_eval(z + two_pi_i) - (fatou_eval(z) + two_pi_i)))
+        rows.append(("semiconj-periodicity", worst < 1e-12, f"max defect {worst:.3e}"))
 
-    worst = 0.0
-    for k in range(-2, 3):
-        z = complex(0.0, (2 * k + 1) * math.pi)
-        worst = max(worst, abs(fatou_eval(z) - z))
-    rows.append(("semiconj-fixed-points", worst < 1e-12, f"max defect {worst:.3e} for |k|<=2"))
-    dt = time.perf_counter() - t0
-    rows.append(("semiconj-runtime", dt < 2.0, f"{dt:.3f}s (budget 2s)"))
+        worst = 0.0
+        for k in range(-2, 3):
+            z = complex(0.0, (2 * k + 1) * math.pi)
+            worst = max(worst, abs(fatou_eval(z) - z))
+        rows.append(("semiconj-fixed-points", worst < 1e-12, f"max defect {worst:.3e} for |k|<=2"))
     return rows
 
 
@@ -340,50 +343,46 @@ def suite_separation() -> list[Check]:
     rows: list[Check] = []
     p = Params(a=-2 + 0j)
 
-    t0 = time.perf_counter()
-    ep0 = endpoint_estimate(p, SEPARATION_ADDRESSES[0], tol=1e-8)
-    want = _bisect_real_fixed_point(-2.0, 1.0, 2.0)
-    err = abs(ep0.z - want)
-    rows.append(
-        (
-            "endpoint-zero-address",
-            ep0.converged and err <= 1e-8,
-            f"|z - bisection root| = {err:.3e}",
+    with _runtime(rows, "endpoint", 5.0):
+        ep0 = endpoint_estimate(p, SEPARATION_ADDRESSES[0], tol=1e-8)
+        want = _bisect_real_fixed_point(-2.0, 1.0, 2.0)
+        err = abs(ep0.z - want)
+        rows.append(
+            (
+                "endpoint-zero-address",
+                ep0.converged and err <= 1e-8,
+                f"|z - bisection root| = {err:.3e}",
+            )
         )
-    )
 
-    ep1 = endpoint_estimate(p, SEPARATION_ADDRESSES[1], tol=1e-8)
-    defect = abs(eval_map(p.a, ep1.z) - ep1.z)
-    rows.append(
-        ("endpoint-one-address", ep1.converged and defect < 1e-7, f"|f(z)-z| = {defect:.3e}")
-    )
-    dt = time.perf_counter() - t0
-    rows.append(("endpoint-runtime", dt < 5.0, f"{dt:.3f}s (budget 5s)"))
+        ep1 = endpoint_estimate(p, SEPARATION_ADDRESSES[1], tol=1e-8)
+        defect = abs(eval_map(p.a, ep1.z) - ep1.z)
+        rows.append(
+            ("endpoint-one-address", ep1.converged and defect < 1e-7, f"|f(z)-z| = {defect:.3e}")
+        )
 
-    t0 = time.perf_counter()
-    endpoints = [endpoint_estimate(p, s, tol=1e-8) for s in SEPARATION_ADDRESSES]
-    bad = sum(
-        1
-        for ep in endpoints
-        if itinerary(p, ep.z, 5) != ep.address.entries(5)
-    )
-    rows.append(("itinerary-prefixes", bad == 0, f"{bad} mismatches over 5 addresses"))
+    with _runtime(rows, "separation", 5.0):
+        endpoints = [endpoint_estimate(p, s, tol=1e-8) for s in SEPARATION_ADDRESSES]
+        bad = sum(
+            1
+            for ep in endpoints
+            if itinerary(p, ep.z, 5) != ep.address.entries(5)
+        )
+        rows.append(("itinerary-prefixes", bad == 0, f"{bad} mismatches over 5 addresses"))
 
-    bad = 0
-    pairs = 0
-    for i in range(len(endpoints)):
-        for j in range(i + 1, len(endpoints)):
-            pairs += 1
-            si, sj = SEPARATION_ADDRESSES[i], SEPARATION_ADDRESSES[j]
-            expected = next(k for k in range(64) if si.entry(k) != sj.entry(k))
-            got = separation_index(p, endpoints[i].z, endpoints[j].z, depth=16)
-            if got != expected:
-                bad += 1
-    rows.append(
-        ("pairwise-separation", bad == 0, f"{bad} mismatches over {pairs} pairs")
-    )
-    dt = time.perf_counter() - t0
-    rows.append(("separation-runtime", dt < 5.0, f"{dt:.3f}s (budget 5s)"))
+        bad = 0
+        pairs = 0
+        for i in range(len(endpoints)):
+            for j in range(i + 1, len(endpoints)):
+                pairs += 1
+                si, sj = SEPARATION_ADDRESSES[i], SEPARATION_ADDRESSES[j]
+                expected = next(k for k in range(64) if si.entry(k) != sj.entry(k))
+                got = separation_index(p, endpoints[i].z, endpoints[j].z, depth=16)
+                if got != expected:
+                    bad += 1
+        rows.append(
+            ("pairwise-separation", bad == 0, f"{bad} mismatches over {pairs} pairs")
+        )
     return rows
 
 

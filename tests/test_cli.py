@@ -3,6 +3,7 @@ config merging, and output formats."""
 
 import importlib
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -520,34 +521,25 @@ class TestTraceHair:
         assert "address" in err
 
 
+MAXMOD_PARAMS = ("-2+0i", "-1+0i", "5+3.14i", "2.06+1.57i", "1.004+2.9i")
+RUNTIME_DETAIL = re.compile(r"\d+\.\d{3}s \(budget \d+s\)")
+
+
 class TestVerifyCommand:
-    def test_tower_suite_all_ok(self, capsys):
-        code, out, _ = run(["verify", "tower"], capsys)
-        assert code == 0
-        lines = out.strip().splitlines()
-        names = [line.split(":")[0] for line in lines]
-        assert names == [
-            "tower-roundtrip",
-            "tower-monotone",
-            "tower-ordinary-range",
-            "tower-runtime",
-        ]
-        assert all(": ok (" in line for line in lines)
-
-    def test_growth_domination_suite_all_ok(self, capsys):
-        code, out, _ = run(["verify", "lemma7"], capsys)
-        assert code == 0
-        assert "domination[kappa=1000]: ok" in out
-        assert "margin-exact: ok" in out
-
     @pytest.mark.parametrize(
         "suite, names",
         [
-            ("maxmod", ["maxmod-oracle-runtime", "maxmod-growth-runtime"]),
+            ("maxmod", [f"maxmod-oracle[a={a}]" for a in MAXMOD_PARAMS] + ["maxmod-oracle-runtime"]
+             + [f"maxmod-growth[a={a}]" for a in MAXMOD_PARAMS] + ["maxmod-growth-runtime"]),
             ("semiconj", ["semiconj-residual", "semiconj-periodicity",
                           "semiconj-fixed-points", "semiconj-runtime"]),
             ("separation", ["endpoint-zero-address", "endpoint-one-address", "endpoint-runtime",
                             "itinerary-prefixes", "pairwise-separation", "separation-runtime"]),
+            ("lemma7", ["domination[kappa=1000]", "domination[kappa=30000]",
+                        "domination-monotone", "domination-runtime",
+                        "margin-exact", "margin-dominates-radius", "margin-runtime"]),
+            ("tower", ["tower-roundtrip", "tower-monotone", "tower-ordinary-range",
+                       "tower-runtime"]),
         ],
     )
     def test_suite_all_ok(self, suite, names, capsys):
@@ -556,7 +548,13 @@ class TestVerifyCommand:
         assert code == 0
         assert all(": ok (" in line for line in lines)
         got = [line.split(":")[0] for line in lines]
-        assert [n for n in got if n in names] == names
+        assert got == names
+        # Each timed group of rows ends in the one runtime row that times it.
+        runtime = [i for i, name in enumerate(got) if name.endswith("-runtime")]
+        assert runtime[-1] == len(got) - 1
+        assert all(j - i > 1 for i, j in zip([-1] + runtime, runtime))
+        for i in runtime:
+            assert RUNTIME_DETAIL.fullmatch(lines[i].split(": ok (")[1][:-1])
 
     def test_differential_row_on_a_small_drift_grid(self):
         spec = RenderSpec("fatou", width=8, height=6, max_iter=60)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from expbouquet import expmap
+from expbouquet.classify import classify_param, classify_point, find_cycle
+from expbouquet.fatoufn import fatou_classify, fatou_orbit
+from expbouquet.render import RenderSpec
+from expbouquet.symbolic import ExternalAddress, find_domination_index, separation_index, trace_hair
 from expbouquet.expmap import (
     MM_DIRECT_MAX,
     OrbitSample,
@@ -224,3 +229,48 @@ class TestMaxModulusIterates:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             max_modulus_iterates(-2 + 0j, 7.0, -1)
+
+
+
+P = Params(a=-2 + 0j)
+# (entry point, what it counts, call with that count)
+COUNT_SITES = [
+    ("classify_point", "depth", lambda n: classify_point(P, 0j, depth=n)),
+    ("orbit", "depth", lambda n: orbit(-2 + 0j, 0j, n)),
+    ("fatou_orbit", "depth", lambda n: fatou_orbit(0j, n)),
+    ("fatou_classify", "depth", lambda n: fatou_classify(0j, n)),
+    ("trace_hair", "depth", lambda n: trace_hair(P, ExternalAddress((), (0,)), n)),
+    ("separation_index", "depth", lambda n: separation_index(P, 0j, 1j, n)),
+    ("find_domination_index", "depth", lambda n: find_domination_index(P, 10 + 0j, 0j, 1e3, n)),
+    ("RenderSpec", "max_iter", lambda n: RenderSpec("exponential", a=-2, max_iter=n)),
+    ("find_cycle", "period", lambda n: find_cycle(P, 0j, n)),
+    ("classify_param", "max_period", lambda n: classify_param(P, max_period=n)),
+]
+# (entry point, call with that bailout)
+BAILOUT_SITES = [
+    ("classify_point", lambda b: classify_point(P, 0j, bailout=b)),
+    ("orbit", lambda b: orbit(-2 + 0j, 0j, 10, b)),
+    ("fatou_orbit", lambda b: fatou_orbit(0j, 10, b)),
+    ("RenderSpec", lambda b: RenderSpec("exponential", a=-2, bailout=b)),
+]
+
+
+@pytest.mark.parametrize(
+    "message, call",
+    [
+        pytest.param(f"{what} must be >= 1", lambda f=f: f(0), id=f"{site}-{what}")
+        for site, what, f in COUNT_SITES
+    ]
+    + [
+        pytest.param(
+            "bailout must be in (0, 1e15]", lambda f=f, b=b: f(b), id=f"{site}-bailout={b:g}"
+        )
+        for site, f in BAILOUT_SITES
+        for b in (0.0, 2e15)
+    ],
+)
+def test_precondition_messages(message, call):
+    # Every entry point that takes a count or a bailout rejects a bad one
+    # with the exact wording of the shared checks in expmap.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
