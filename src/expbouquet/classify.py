@@ -202,9 +202,9 @@ def _direct_bound(a: complex, depth: int, k: int | np.ndarray, mag: np.ndarray) 
 def _settle_bound(
     a: complex,
     depth: int,
-    bailout: float,
     n: int | np.ndarray,
     z: np.ndarray,
+    alone: bool | np.ndarray,
     bound: int | np.ndarray,
 ) -> np.ndarray:
     """Final offset bounds of orbits whose last direct point is ``z_n = z``, for ``n <= depth``.
@@ -227,8 +227,10 @@ def _settle_bound(
     (:func:`_direct_bound`).  ``T_n`` is ``from_real_array(|z_n|)``; later
     towers are the growth model of :func:`expbouquet.expmap._towers`,
     ``exp_plus_array`` with ``|a|``, from ``(0, Re z_n)`` (so ``(1, Re
-    z_n)``, the exact log-magnitude of ``exp(z_n)``) if ``Re z_n > 700``
-    alone made the orbit leave, with ``|z_n| <= bailout`` and ``< 1e15``.
+    z_n)``, the exact log-magnitude of ``exp(z_n)``) where ``alone``, the
+    output of :func:`expbouquet.expmap._leaves` at ``z_n`` that the caller
+    kept from its switch test, says ``Re z_n > 700`` alone made the orbit
+    leave.  ``alone`` is one flag for all orbits or one per orbit.
 
     They are counted until ``c(k) > n0`` or ``k = depth``, and stopping
     there is exact, with no rounding term.  Once ``c(k) > n0``,
@@ -240,12 +242,10 @@ def _settle_bound(
     c(k)`` never rises again.
     """
     keys, ground = _domination_table(a, depth)
-    az = np.abs(z)
-    level, mantissa = from_real_array(az)
+    level, mantissa = from_real_array(np.abs(z))
     c = np.searchsorted(keys, level + 1j * mantissa, side="right")
     k = np.full(z.shape, n)  # the step of each orbit's tower
     bound = np.maximum(bound, k + 1 - c)
-    alone = (az <= bailout) & (az < MAG_GUARD) & (z.real > RE_OVERFLOW)
     mantissa = np.where(alone, z.real, mantissa)
     live = np.arange(z.size)  # orbits whose bound may still rise
     while True:
@@ -268,25 +268,25 @@ def classify_point(
     ``z_n`` is past ``bailout`` or no longer carried directly (the track
     has switched to its growth model), which is where
     :func:`~expbouquet.expmap.orbit` stops or first reports
-    ``"overflowed"``.  Escaped orbits are then tested for tower domination
-    over iterated maximum modulus (with at least three tower comparisons)
-    to separate fast escape from plain escape, by :func:`_settle_bound`,
-    the rule the rasterizer applies per pixel.  Bounded orbits build no
-    tower; they are matched against cycles of period up to 32, with the
-    verdict re-checked 10 iterations past ``depth``.
+    ``"overflowed"``.  It is read off the one report ``(n, past, alone)``
+    of :func:`~expbouquet.expmap._track`: the leave step ``n`` if
+    ``past``, else ``n + 1``.  Escaped orbits are then tested for tower
+    domination over iterated maximum modulus (with at least three tower
+    comparisons) to separate fast escape from plain escape, by
+    :func:`_settle_bound`, the rule the rasterizer applies per pixel, with
+    the report's ``alone``.  Bounded orbits build no tower; they are
+    matched against cycles of period up to 32, with the verdict re-checked
+    10 iterations past ``depth``.
     """
     _check_count("depth", depth)
     _check_bailout(bailout)
-    zs = _track(p.a, _finite("seed", z), depth + 10, bailout)
-    exit_step = next(
-        (n for n, w in enumerate(zs[: depth + 1]) if w is None or abs(w) > bailout), None
-    )
-    if exit_step is not None:
-        # the last direct point: the exit if past the bailout, else the step before
-        n = exit_step if zs[exit_step] is not None else exit_step - 1
+    zs, leave = _track(p.a, _finite("seed", z), depth + 10, bailout)
+    n, past, alone = leave or (depth + 10, False, False)  # z_n: the last direct point
+    exit_step = n if past else n + 1
+    if exit_step <= depth:
         direct = np.array(zs[: n + 1], dtype=complex)
         bound = _direct_bound(p.a, depth, np.arange(n), np.abs(direct[:n])).max(initial=0)
-        ell = int(_settle_bound(p.a, depth, bailout, n, direct[n:], bound)[0])
+        ell = int(_settle_bound(p.a, depth, n, direct[n:], alone, bound)[0])
         if ell <= depth - 3:
             return FastEscaping(offset=ell, verified_depth=depth - ell)
         return EscapingSlow(first_exit_step=exit_step)

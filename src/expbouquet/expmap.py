@@ -77,11 +77,11 @@ class Params:
 class OrbitSample:
     """One step of an orbit.
 
-    ``z`` is the orbit point as a complex double while representable
-    (magnitude below the 1e15 guard), and ``None`` afterwards.  ``log_mag``
-    is ``log |z_n|`` as a tower, meaningful at every step.  ``status`` is
-    ``"in-range"`` while ``z`` is carried directly and ``"overflowed"``
-    once only the magnitude track continues.
+    ``z`` is the orbit point as a complex double while the direct track
+    carries it (:func:`orbit` has the rule), and ``None`` afterwards.
+    ``log_mag`` is ``log |z_n|`` as a tower, meaningful at every step.
+    ``status`` is ``"in-range"`` while ``z`` is carried directly and
+    ``"overflowed"`` once only the magnitude track continues.
     """
 
     n: int
@@ -123,52 +123,82 @@ def _check_count(name: str, n: int) -> None:
         raise ValueError(f"{name} must be >= 1")
 
 
-def _track(a: complex, z0: complex, steps: int, bailout: float) -> list[complex | None]:
+def _reach(bailout: float) -> float:
+    """Prefilter bound of :func:`_leaves`: every point that leaves has a modulus past it.
+
+    ``0.5 * min(bailout, 700)``: a point past the bailout or ``1e15`` has
+    ``|z| > bailout >= 2 * reach``, and ``Re z > 700`` gives ``|z| > 700``.
+    The factor 2 is the margin for a modulus other than libm ``hypot``
+    (NumPy's complex ``abs`` errs by a few ulps), so a prefilter on either
+    modulus misses no point that the predicate, on ``hypot``, sends off.
+    """
+    return 0.5 * min(bailout, RE_OVERFLOW)
+
+
+def _leaves(re, mag, bailout: float):
+    """Switch rule of the direct track at a point with ``Re z = re`` and ``|z| = mag``.
+
+    Returns ``(past, leave, alone)``: ``past`` if ``mag`` is past the
+    bailout; ``leave`` if the point leaves the direct track, past the
+    bailout, at or past ``1e15``, or with ``Re z > 700``; ``alone`` if
+    ``Re z > 700`` alone made it leave.  Built from comparisons and ``&``,
+    ``|`` only, so Python floats and NumPy arrays (elementwise) get the
+    same answer; a NaN point never leaves.  ``mag`` is libm ``hypot`` at
+    every caller, the modulus of Python's complex ``abs``.
+    """
+    past, right = mag > bailout, re > RE_OVERFLOW
+    return past, past | (mag >= MAG_GUARD) | right, right & (mag <= bailout) & (mag < MAG_GUARD)
+
+
+Leave = tuple[int, bool, bool]  # (n, past, alone) of the first point z_n that leaves
+
+
+def _track(
+    a: complex, z0: complex, steps: int, bailout: float
+) -> tuple[list[complex | None], Leave | None]:
     """Iterate ``steps`` steps of the direct complex track.
 
-    Returns ``steps + 1`` points.  The track runs while ``|z| <= bailout``,
-    ``|z| < 1e15`` and ``Re z <= 700``; the step after the first point
-    that breaks one of these, and every later one, is ``None``: past it
-    only magnitudes continue, as :func:`_towers` builds them.  The
-    rasterizer's kernel switches by the same rules.
+    Returns ``steps + 1`` points and the report ``(n, past, alone)`` of
+    :func:`_leaves` at the first point ``z_n``, ``n <= steps``, that
+    leaves the track, or None if none does.  The points after ``z_n`` are
+    ``None``: past it only magnitudes continue, as :func:`_towers` builds
+    them.  The predicate runs only at points with ``|z| > _reach(bailout)``,
+    one comparison per step.  The rasterizer's kernel switches by the same
+    predicate and prefilter.
     """
+    reach = _reach(bailout)
     zs: list[complex | None] = [z0]
     z = z0
-    for n in range(steps):
+    for n in range(steps + 1):
         az = abs(z)
-        if az > bailout or az >= MAG_GUARD or z.real > RE_OVERFLOW:
-            zs += [None] * (steps - n)
-            break
+        if az > reach:
+            past, leave, alone = _leaves(z.real, az, bailout)
+            if leave:
+                return zs + [None] * (steps - n), (n, past, alone)
         z = cmath.exp(z) + a
         zs.append(z)
-    return zs
+    zs.pop()  # the point after steps
+    return zs, None
 
 
-def _towers(a: complex, zs: Sequence[complex | None], bailout: float) -> list[TowerReal]:
-    """Magnitude towers ``|z_n|`` of a track from :func:`_track`, one per point.
+def _towers(a: complex, zs: Sequence[complex | None], leave: Leave | None) -> list[TowerReal]:
+    """Magnitude towers ``|z_n|`` of a track ``(zs, leave)`` from :func:`_track`, one per point.
 
-    A direct point gives ``from_real(max(|z_n|, _TINY))``.  Past the
-    switch the far-right growth model ``|z_{n+1}| = exp_plus(|z_n|, |a|)``
-    takes over, except when the switch was triggered by ``Re z > 700``
-    alone (``|z| <= bailout`` and ``|z| < 1e15``): then the first model
-    tower is ``log |z_{n+1}| = Re z_n``, since the additive term
-    ``log|1 + a exp(-z)|`` is below 1e-300 there.  Its users,
-    :func:`orbit` and :func:`expbouquet.symbolic.find_domination_index`,
+    A direct point gives ``from_real(max(|z_n|, _TINY))``.  Past the last
+    direct point the far-right growth model ``|z_{k+1}| = exp_plus(|z_k|,
+    |a|)`` takes over, started from ``(0, Re z_n)`` instead of ``|z_n|``
+    when the report says ``Re z > 700`` alone made the track leave: the
+    first model tower is then ``(1, Re z_n)``, ``log |exp(z_n)|``, since
+    the additive term ``log|1 + a exp(-z)|`` is below 1e-300 there.  Its
+    users, :func:`orbit` and :func:`expbouquet.symbolic.find_domination_index`,
     read every tower.
     """
-    abs_a = abs(a)
-    mags: list[TowerReal] = []
-    prev: complex | None = None
-    for z in zs:
-        if z is not None:
-            mags.append(TowerReal.from_real(max(abs(z), _TINY)))
-        elif prev is not None and abs(prev) <= bailout and abs(prev) < MAG_GUARD:
-            # exp(z) not representable; its log-magnitude is Re z.
-            mags.append(TowerReal(1, prev.real))
-        else:
-            # Crossed the escape horizon: model growth from |z|.
-            mags.append(mags[-1].exp_plus(abs_a))
-        prev = z
+    last = len(zs) - 1 if leave is None else leave[0]  # the last direct point
+    mags = [TowerReal.from_real(max(abs(z), _TINY)) for z in zs[: last + 1]]
+    model = TowerReal.from_real(zs[last].real) if leave and leave[2] else mags[-1]
+    for _ in zs[last + 1 :]:
+        model = model.exp_plus(abs(a))
+        mags.append(model)
     return mags
 
 
@@ -177,23 +207,25 @@ def orbit(a: complex, z0: complex, depth: int, bailout: float = 1e10) -> list[Or
 
     Iteration stops early when an in-range point crosses ``bailout`` (that
     sample is included).  If the orbit instead jumps straight past the
-    representable range (``|z| >= 1e15`` or ``Re z > 700``), the magnitude
+    representable range (a later point at or past ``1e15``, whose tower is
+    past level 0, or a leave that is not past the bailout), the magnitude
     track continues to ``depth`` with samples marked ``"overflowed"``.
-    The seed is always ``"in-range"``.  Requires ``bailout <= 1e15`` and
-    finite moduli ``|a|`` and ``|z0|`` (else :class:`ValueError`).
+    Both are read off the one report ``(n, past, alone)`` of
+    :func:`_track`.  The seed is always ``"in-range"``.  Requires
+    ``bailout <= 1e15`` and finite moduli ``|a|`` and ``|z0|`` (else
+    :class:`ValueError`).
     """
     _check_count("depth", depth)
     _check_bailout(bailout)
-    zs = _track(_finite("parameter a", a), _finite("seed", z0), depth, bailout)
-    samples: list[OrbitSample] = []
-    for n, (z, mag) in enumerate(zip(zs, _towers(a, zs, bailout))):
-        if n > 0 and z is not None and abs(z) >= MAG_GUARD and abs(z) > bailout:
-            z = None
-        status = "in-range" if z is not None else "overflowed"
-        samples.append(OrbitSample(n=n, z=z, log_mag=mag.ln(), status=status))
-        if z is not None and abs(z) > bailout:
-            break
-    return samples
+    zs, leave = _track(_finite("parameter a", a), _finite("seed", z0), depth, bailout)
+    mags = _towers(a, zs, leave)
+    n, past, _ = leave or (depth, False, False)
+    if past and n and mags[n].level:  # jumped past 1e15: the model runs on
+        zs[n], past = None, False
+    return [
+        OrbitSample(n=k, z=z, log_mag=mag.ln(), status="overflowed" if z is None else "in-range")
+        for k, z, mag in zip(range(n + 1 if past else depth + 1), zs, mags)
+    ]
 
 
 def orbit_to_csv(samples: Iterable[OrbitSample]) -> str:

@@ -6,7 +6,7 @@ same rules as :func:`expbouquet.classify.classify_point` (respectively
 in vectorized form, in one forward pass that keeps no per-step history.
 Each kernel iterates only the pixels that still need a step: the
 exponential kernel keeps one direct set (points evaluated with ``exp``)
-that a pixel leaves on the scalar track's switch rules, its fast-escape
+that a pixel leaves by the scalar track's switch predicate, its fast-escape
 offset settled at the end of its block, with every other leaver's, by
 the scalar classifier's own offset routine; or when it is trapped in a
 nested chain of discs about an attracting cycle and retired as ``Basin``
@@ -43,7 +43,7 @@ import numpy as np
 
 from .classify import ATTRACT_CUT, CYCLE_DETECT_TOL, Attracting, classify_param
 from .classify import _UNIT_ROUNDOFF, _direct_bound, _domination_table, _settle_bound
-from .expmap import MAG_GUARD, RE_OVERFLOW, Params, _check_bailout, _check_count
+from .expmap import MAG_GUARD, RE_OVERFLOW, Params, _check_bailout, _check_count, _leaves, _reach
 from .fatoufn import BOUNDED_BOX, DRIFT_THRESHOLD, DRIFT_WINDOW, _RE_UNDERFLOW
 
 __all__ = [
@@ -250,11 +250,19 @@ def _singular_tags(a: complex, depth: int, bailout: float) -> np.ndarray | None:
     = f^k(a)``, computed here by the kernel's own ``np.exp(w) + a``: the
     two orbits can differ only in the sign of a zero component (``z_s ==
     a`` compares ``-0.0`` equal to ``0.0``), which no ``abs``, comparison
-    or window sum sees.  If ``w_0 .. w_{depth + 10}`` meet no switch rule,
-    the pixel never leaves (exit -1) and its tag is :func:`_basin_mask` on
-    the tail rows ``w_{t - s}``, ``t = max(0, depth - 32) .. depth + 10``;
-    otherwise None.  One vectorized basin test covers every ``s``: row
-    ``t`` holds ``w_{t - s}`` at position ``s``.  The table is read-only.
+    or window sum sees.  If no point of ``w_0 .. w_{depth + 10}`` leaves by
+    :func:`expbouquet.expmap._leaves` on ``np.hypot``, the kernel's
+    predicate and modulus, the pixel never leaves (exit -1) and its tag is
+    :func:`_basin_mask` on the tail rows ``w_{t - s}``, ``t = max(0, depth
+    - 32) .. depth + 10``; otherwise None.  One vectorized basin test
+    covers every ``s``: row ``t`` holds ``w_{t - s}`` at position ``s``.
+    The table is read-only.
+
+    NaN never leaves, yet no non-finite point passes unseen: the first one
+    comes right after a point with ``Re w > 700``, which leaves.  From a
+    finite ``w`` with ``Re w <= 700``, ``|exp(w)| <= e^700`` and ``exp(w) +
+    a`` is finite, since ``|a| < 9e307`` (``Params`` checks ``3 + 2|a|``
+    finite).
     """
     total = depth + 10
     orbit = [np.complex128(a)]
@@ -262,9 +270,8 @@ def _singular_tags(a: complex, depth: int, bailout: float) -> np.ndarray | None:
         for _ in range(total):
             orbit.append(np.exp(orbit[-1]) + a)
     w = np.array(orbit)
-    mag = np.abs(w)
-    if not np.all((mag <= bailout) & (mag < MAG_GUARD) & (w.real <= RE_OVERFLOW)):
-        return None  # NaN and inf compare false
+    if np.any(_leaves(w.real, np.hypot(w.real, w.imag), bailout)[1]):
+        return None
     shifts = np.arange(max(0, depth - 32) + 1)
     rows = [w[t - shifts] for t in range(max(0, depth - 32), total + 1)]
     tags = np.where(_basin_mask(rows, depth), TAG_BASIN, TAG_BOUNDED).astype(np.uint8)
@@ -334,26 +341,30 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     orbit never crossed the bailout within ``max_iter`` steps.  One forward
     pass keeps one pixel set, the direct set: per pixel its raster index,
     point ``z`` (evaluated with ``exp``), ``|z|`` and running fast-escape
-    offset bound.  A pixel leaves it on the scalar track's switch rules and
-    never comes back.  Its exit step, the rule of
-    :func:`expbouquet.classify.classify_point`, is written then: the step
-    itself if ``|z|`` is past the bailout, else the next (first
-    growth-model) step, and -1 past ``max_iter``.
+    offset bound.  A pixel leaves it by the scalar track's predicate
+    :func:`expbouquet.expmap._leaves` and never comes back.  Its exit
+    step, the rule of :func:`expbouquet.classify.classify_point`, is
+    written then: the step itself if the predicate's ``past``, else the
+    next (first growth-model) step, and -1 past ``max_iter``.
 
-    The switch rules run on the pixels with ``|z| > min(bailout, 350)``
-    only, a superset of those that leave: the bailout is at most ``1e15``,
-    so ``|z|`` past the bailout or ``1e15`` is past it, and ``Re z > 700``
-    gives ``|z| > 350`` (complex ``abs`` is never below ``|Re z|`` by
-    anything near a factor of 2).
+    The predicate runs on the pixels with ``np.abs(z)`` past
+    :func:`expbouquet.expmap._reach` only, with the modulus
+    ``np.hypot(Re z, Im z)`` taken on those candidates: libm ``hypot``, as
+    Python's complex ``abs`` on the scalar side, so both sides decide on
+    the same modulus.  The candidates are a superset of the pixels that
+    leave: the bound is at most half of ``min(bailout, 700)``, and
+    ``np.abs`` is within a few ulps of ``hypot``, far inside that factor
+    of 2.
 
     The running offset bound is that of
     :func:`expbouquet.classify.classify_point`, by the same routines: a
     step in the set adds :func:`expbouquet.classify._direct_bound`, and
     the pixels that leave at a step ``n <= max_iter`` are recorded (raster
-    index, ``n``, ``z_n``, bound before ``n``) and get their final bounds
-    in one :func:`expbouquet.classify._settle_bound` call at the end of
-    the block (its docstring has the argument).  A pixel is fast iff that
-    bound is ``<= max_iter - 3``.  Writing these tags last changes no
+    index, ``n``, ``z_n``, the predicate's ``alone``, bound before ``n``)
+    and get their final bounds in one
+    :func:`expbouquet.classify._settle_bound` call at the end of the block
+    (its docstring has the argument).  A pixel is fast iff that bound is
+    ``<= max_iter - 3``.  Writing these tags last changes no
     byte: the pixels that leave, those retired into a disc below and
     those left in the set at the end are disjoint, since discs lie within
     the bailout, below ``1e15`` and at ``Re z <= 700``, so no pixel in a
@@ -410,9 +421,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     a = spec.a
     depth = spec.max_iter
     total = depth + 10
-    # Every pixel that leaves has |z| past this: the bailout is at most 1e15,
-    # and Re z > 700 puts |z| past 350.
-    reach = min(spec.bailout, 350.0)
+    reach = _reach(spec.bailout)
 
     xs, ys = _pixel_centers(spec, y_start, y_stop)
     z = (xs[None, :] + 1j * ys[:, None]).reshape(-1)
@@ -437,24 +446,21 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     offset = np.zeros(npix, dtype=np.int64)  # least admissible fast-escape offset
     exits = np.full(npix, -1, dtype=np.int64)
     tags = np.full(npix, TAG_BOUNDED, dtype=np.uint8)
-    leavers = []  # per step n <= max_iter with exits: (n, raster index, z_n, offset bound)
+    leavers = []  # per step n <= max_iter with exits: (n, raster index, z_n, alone, bound)
 
     with np.errstate(all="ignore"):
         az = np.abs(z)
         for n in range(total):
-            # Switch rules of the scalar track, on the pixels past reach
-            # only: magnitude past the bailout or the tower guard, or real
-            # part past the direct-exp range.
+            # the scalar track's predicate, on the pixels past reach only
             cand = np.flatnonzero(az > reach)
-            mag = az[cand]
-            past = mag > spec.bailout
-            leave = past | (mag >= MAG_GUARD) | (z.real[cand] > RE_OVERFLOW)
+            x, y = z.real[cand], z.imag[cand]
+            past, leave, alone = _leaves(x, np.hypot(x, y), spec.bailout)
             if n <= depth:
                 exiting = leave if n < depth else past  # others exit past depth
                 out = cand[exiting]
                 if out.size:
                     exits[pixel[out]] = np.where(past[exiting], n, n + 1)
-                    leavers.append((n, pixel[out], z[out], offset[out]))
+                    leavers.append((n, pixel[out], z[out], alone[exiting], offset[out]))
             gone = cand[leave]  # sorted positions to cut from the set
             retired = []  # nonempty arrays of positions whose verdict is fixed now
             if n <= last_retire:
@@ -500,11 +506,9 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
 
         # One settle for every pixel that exited within max_iter.
         if leavers:
-            steps, out, z_out, bound = zip(*leavers)
+            steps, out, *rest = zip(*leavers)
             steps = np.repeat(steps, [o.size for o in out])
-            ell = _settle_bound(
-                a, depth, spec.bailout, steps, np.concatenate(z_out), np.concatenate(bound)
-            )
+            ell = _settle_bound(a, depth, steps, *map(np.concatenate, rest))
             tags[np.concatenate(out)] = np.where(ell <= depth - 3, TAG_FAST, TAG_SLOW)
 
         # Basin detection on the set left at max_iter + 10: the pixels

@@ -346,9 +346,9 @@ def find_domination_index(
     z0_class = classify_point(p, z0, cls_depth, bailout)
     if isinstance(z0_class, FastEscaping):
         raise PreconditionError("z0 must not classify as FastEscaping")
-    s_zs = _track(p.a, s, depth, bailout)
-    s_mags = _towers(p.a, s_zs, bailout)
-    z_mags = _towers(p.a, _track(p.a, z0, depth, bailout), bailout)
+    s_zs, s_leave = _track(p.a, s, depth, bailout)
+    s_mags = _towers(p.a, s_zs, s_leave)
+    z_mags = _towers(p.a, *_track(p.a, z0, depth, bailout))
     last_sign_positive = s.real > 0.0
     for n in range(depth + 1):
         if s_zs[n] is not None:

@@ -292,8 +292,9 @@ class TestTowersOnlyForEscapedOrbits:
     @_track_cases
     def test_towers_from_points_match_the_eager_track(self, a, z0, depth, bailout):
         zs, mags = _eager_track(complex(a), z0, depth + 10, bailout)
-        assert expmap._track(complex(a), z0, depth + 10, bailout) == zs
-        assert expmap._towers(complex(a), zs, bailout) == mags
+        got, leave = expmap._track(complex(a), z0, depth + 10, bailout)
+        assert got == zs
+        assert expmap._towers(complex(a), zs, leave) == mags
 
     def test_late_escape_is_bounded_within_depth(self):
         assert first_bailout_crossing(P2.a, LATE_ESCAPE, 1e10) == 13
@@ -509,18 +510,20 @@ class TestSettleBound:
               np.array([0, 3, 5])))
     def test_matches_one_call_per_step(self, case):
         a, depth, bailout, steps, z, bound = case
-        got = classify._settle_bound(a, depth, bailout, steps, z, bound)
+        # the alone flags the callers keep from their one switch test
+        alone = expmap._leaves(z.real, np.hypot(z.real, z.imag), bailout)[2]
+        got = classify._settle_bound(a, depth, steps, z, alone, bound)
         assert got.shape == z.shape and got.dtype == np.int64
         want = [
-            int(classify._settle_bound(a, depth, bailout, int(n), z[i : i + 1], bound[i])[0])
+            int(classify._settle_bound(a, depth, int(n), z[i : i + 1], alone[i], bound[i])[0])
             for i, n in enumerate(steps.tolist())
         ]
         assert got.tolist() == want
 
     def test_empty(self):
         got = classify._settle_bound(
-            -2 + 0j, 60, 1e10, np.empty(0, dtype=np.int64), np.empty(0, dtype=complex),
-            np.empty(0, dtype=np.int64),
+            -2 + 0j, 60, np.empty(0, dtype=np.int64), np.empty(0, dtype=complex),
+            np.empty(0, dtype=bool), np.empty(0, dtype=np.int64),
         )
         assert got.shape == (0,) and got.dtype == np.int64
 

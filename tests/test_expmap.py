@@ -134,6 +134,58 @@ class TestOrbit:
         assert text.endswith("\n")
 
 
+# Real parts and moduli at the edges of the switch rule, NaN and inf included.
+_SWITCH_EDGES = [
+    700.0, math.nextafter(700.0, math.inf), 350.0, 1e15, math.nextafter(1e15, 0.0),
+    0.0, -1e300, math.nan, math.inf, -math.inf,
+]
+
+
+@st.composite
+def _switch_points(draw):
+    """``(bailout, [(re, mag), ...])`` with moduli on, next to and off the bailout."""
+    bailout = draw(st.one_of(
+        st.sampled_from([1e15, 1e10, 300.0, 0.5, 5e-324]),
+        st.floats(min_value=5e-324, max_value=1e15),
+    ))
+    value = st.one_of(
+        st.sampled_from(_SWITCH_EDGES),
+        st.sampled_from([bailout, math.nextafter(bailout, 0.0), math.nextafter(bailout, math.inf)]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    return bailout, draw(st.lists(st.tuples(value, value), max_size=16))
+
+
+class TestLeaves:
+    """The one switch rule of the direct track, on floats and on arrays."""
+
+    @given(_switch_points())
+    @example((1e15, [(0.0, 1e15), (700.0, 1e15), (1e15, math.nextafter(1e15, 0.0))]))
+    @example((1e10, [(700.0, 800.0), (math.nextafter(700.0, math.inf), 800.0), (0.0, 1e10)]))
+    @example((1e10, [(math.nan, math.nan), (800.0, math.nan), (math.nan, math.inf)]))
+    def test_floats_match_arrays(self, case):
+        bailout, points = case
+        re = np.array([r for r, _ in points], dtype=float)
+        mag = np.array([m for _, m in points], dtype=float)
+        got = expmap._leaves(re, mag, bailout)
+        for i, (r, m) in enumerate(points):
+            past, leave, alone = expmap._leaves(r, m, bailout)
+            assert (past, leave, alone) == tuple(bool(g[i]) for g in got)
+            # the rule as the docstrings state it; a NaN point never leaves
+            assert past == (m > bailout)
+            assert leave == (m > bailout or m >= 1e15 or r > 700.0)
+            assert alone == (r > 700.0 and m <= bailout and m < 1e15)
+            assert not (math.isnan(r) and math.isnan(m) and leave)
+
+    @given(st.floats(min_value=5e-324, max_value=1e15))
+    def test_every_leaving_point_is_past_reach(self, bailout):
+        reach = expmap._reach(bailout)
+        assert reach <= 0.5 * bailout and reach <= 350.0
+        # the least moduli that leave: just past the bailout, 1e15, Re z > 700
+        for r, m in [(0.0, math.nextafter(bailout, math.inf)), (0.0, 1e15), (700.0, 700.0)]:
+            assert m > reach
+
+
 class TestMaxModulus:
     def test_frozen_value(self):
         # Independent check: for a = -2 the circle maximum at r = 7 sits

@@ -61,6 +61,25 @@ def _around(c, half):
     return (c.real - half, c.real + half, c.imag - half, c.imag + half)
 
 
+def _circle_seeds():
+    """``{(bailout, i): z}``: 40 seeds on ``|z| = bailout`` per bailout, from ``default_rng(5)``."""
+    rng = np.random.default_rng(5)
+    return {
+        (bailout, i): complex(bailout * math.cos(t), bailout * math.sin(t))
+        for bailout in (1e10, 1e15, 300.0)
+        for i, t in enumerate(rng.uniform(0.0, 2.0 * math.pi, 40))
+    }
+
+
+def _centred_on(z):
+    """A viewport whose one cell centre is ``z`` exactly: ``z`` four ulps from each edge."""
+    hx, hy = 4.0 * math.ulp(z.real), 4.0 * math.ulp(z.imag)
+    return (z.real - hx, z.real + hx, z.imag - hy, z.imag + hy)
+
+
+CIRCLE_SEEDS = _circle_seeds()
+
+
 # Centres of the largest trapping discs: the attracting fixed point of a = -2
 # and the cycle point of 5+3.14i that is not a itself.
 C_MINUS_2 = complex(-1.8414056604369606)
@@ -201,6 +220,17 @@ DIFFERENTIAL_SPECS = {
     "cycle-far-left": _exp_spec(
         A_FAR_LEFT, max_iter=60, size=12, bailout=1e15, viewport=_around(C_FAR_LEFT, 0.1)
     ),
+    # 1x1 grids on the circle |z| = bailout, where NumPy's complex abs and
+    # libm hypot can round to opposite sides of the bailout: scalar and grid
+    # must decide the switch on one modulus.  They check agreement only; on
+    # the left half of the 1e10 and 1e15 circles e^z underflows and f(z) = a,
+    # so a shared FastEscaping there is wrong on both sides.
+    **{
+        f"circle-{bailout:g}-{i}": _exp_spec(
+            -2, max_iter=60, size=1, bailout=bailout, viewport=_centred_on(z)
+        )
+        for (bailout, i), z in CIRCLE_SEEDS.items()
+    },
 }
 
 
@@ -361,13 +391,19 @@ class TestClassificationColors:
         tags, exits = classify_grid(spec, workers=1)
         for i, j, z in _cell_centres(spec):
             got = _classify_point_eager(p, z, spec.max_iter, spec.bailout)
-            zs = expmap._track(p.a, z, spec.max_iter, spec.bailout)
+            zs, _ = expmap._track(p.a, z, spec.max_iter, spec.bailout)
             exit_step = next(
                 (n for n, w in enumerate(zs) if w is None or abs(w) > spec.bailout), -1
             )
             assert (type(got).__name__, exit_step) == (TAG_NAMES[tags[i, j]], exits[i, j]), (
                 i, j, z,
             )
+
+
+def test_circle_grids_centre_on_their_seeds():
+    for (bailout, i), z in CIRCLE_SEEDS.items():
+        spec = DIFFERENTIAL_SPECS[f"circle-{bailout:g}-{i}"]
+        assert [w for _, _, w in _cell_centres(spec)] == [z]
 
 
 def _render_module():
@@ -708,9 +744,9 @@ class TestKernelWork:
         sizes = []
         settle = classify._settle_bound
 
-        def counting(a, depth, bailout, n, z, bound):
+        def counting(a, depth, n, z, alone, bound):
             sizes.append(z.size)
-            return settle(a, depth, bailout, n, z, bound)
+            return settle(a, depth, n, z, alone, bound)
 
         monkeypatch.setattr(_render_module(), "_settle_bound", counting)
         spec = _exp_spec(a, max_iter=60, size=64, viewport=viewport)
