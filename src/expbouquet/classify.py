@@ -64,6 +64,10 @@ ATTRACTING_BAND = 1e-9
 # has multiplier modulus |prod exp(z_i)| < 1 - ATTRACTING_BAND.
 ATTRACT_CUT = math.log1p(-ATTRACTING_BAND)
 PARABOLIC_BAND = 1e-6
+# Basin window of classify_point and the rasterizer: a period q <=
+# BASIN_PERIODS is matched at depth and again BASIN_RECHECK steps later.
+BASIN_PERIODS = 32
+BASIN_RECHECK = 10
 REVISIT_TOL = 1e-10
 # Revisit search: cells 2**-30 wide (wider than REVISIT_TOL), the clamp that
 # keeps scaled coordinates finite, the 3x3 block of cells a revisit can lie
@@ -275,13 +279,15 @@ def classify_point(
     comparisons) to separate fast escape from plain escape, by
     :func:`_settle_bound`, the rule the rasterizer applies per pixel, with
     the report's ``alone``.  Bounded orbits build no tower; they are
-    matched against cycles of period up to 32, with the verdict re-checked
-    10 iterations past ``depth``.
+    matched against cycles of period up to ``BASIN_PERIODS``, with the
+    verdict re-checked ``BASIN_RECHECK`` iterations past ``depth``
+    (:func:`_detect_basin_period`).
     """
     _check_count("depth", depth)
     _check_bailout(bailout)
-    zs, leave = _track(p.a, _finite("seed", z), depth + 10, bailout)
-    n, past, alone = leave or (depth + 10, False, False)  # z_n: the last direct point
+    total = depth + BASIN_RECHECK
+    zs, leave = _track(p.a, _finite("seed", z), total, bailout)
+    n, past, alone = leave or (total, False, False)  # z_n: the last direct point
     exit_step = n if past else n + 1
     if exit_step <= depth:
         direct = np.array(zs[: n + 1], dtype=complex)
@@ -298,18 +304,18 @@ def classify_point(
 
 
 def _detect_basin_period(zs: Sequence[complex | None], depth: int) -> Optional[int]:
-    """Smallest period ``q <= 32`` matching the orbit tail, or None.
+    """Smallest period ``q <= min(BASIN_PERIODS, depth)`` matching the orbit tail, or None.
 
-    Requires closeness at ``depth``, stability 10 steps later, and an
-    attracting window multiplier ``|prod exp(z_i)| < 1 - 1e-9``.  ``zs``
-    holds the ``depth + 11`` points of :func:`~expbouquet.expmap._track`,
-    which never comes back after a ``None``: if the last point is not
-    ``None``, none is.
+    Requires closeness at ``depth``, stability ``BASIN_RECHECK`` steps
+    later, at ``total = depth + BASIN_RECHECK``, and an attracting window
+    multiplier ``|prod exp(z_i)| < 1 - 1e-9``.  ``zs`` holds the ``total +
+    1`` points of :func:`~expbouquet.expmap._track`, which never comes
+    back after a ``None``: if the last point is not ``None``, none is.
     """
-    total = depth + 10
+    total = depth + BASIN_RECHECK
     if zs[total] is None:
         return None
-    for q in range(1, min(32, depth) + 1):
+    for q in range(1, min(BASIN_PERIODS, depth) + 1):
         z_d, z_dq = zs[depth], zs[depth - q]
         z_t, z_tq = zs[total], zs[total - q]
         if abs(z_d - z_dq) >= CYCLE_DETECT_TOL or abs(z_t - z_tq) >= CYCLE_DETECT_TOL:
@@ -399,31 +405,29 @@ def classify_param(p: Params, max_period: int = 32, depth: int = 2000) -> ParamC
     revisit of an earlier orbit point within 1e-10 landing on a repelling
     cycle (finite singular orbit), escape past the representable range,
     else undetermined.
+
+    The orbit is the direct track of :func:`~expbouquet.expmap._track` at
+    bailout ``1e15``, so it leaves at ``|z_n| >= 1e15`` or ``Re z_n >
+    700``.  Its exit step is ``n + alone`` from the report ``(n, past,
+    alone)``: ``n`` at ``|z_n| >= 1e15``, ``n + 1`` when ``Re z_n > 700``
+    alone made it leave, and no exit past ``depth``.  The revisit search
+    reads the points before the exit step, the cycle search all ``depth +
+    1`` points of an orbit without one.
     """
     _check_count("max_period", max_period)
     if depth < 100:
         raise ValueError("depth must be >= 100")
-    a = p.a
-    zs: list[complex] = [a]
-    exit_step: Optional[int] = None
-    z = a
-    for n in range(1, depth + 1):
-        if z.real > RE_OVERFLOW:
-            exit_step = n
-            break
-        z = cmath.exp(z) + a
-        if abs(z) >= MAG_GUARD:
-            exit_step = n
-            break
-        zs.append(z)
-    if exit_step is None:
+    zs, leave = _track(p.a, p.a, depth, MAG_GUARD)
+    n, _, alone = leave or (depth, False, True)
+    exit_step = n + alone
+    if exit_step > depth:
         verdict = _detect_param_cycle(p, zs, max_period)
         if verdict is not None:
             return verdict
-    psf = _detect_revisit(zs)
+    psf = _detect_revisit(zs[:exit_step])
     if psf is not None:
         return psf
-    if exit_step is not None:
+    if exit_step <= depth:
         return SingularValueEscapes(first_exit_step=exit_step)
     return Undetermined()
 

@@ -149,11 +149,12 @@ def _fmt_real(x: float) -> str:
 # --------------------------------------------------------------------------
 # option registry and config file merging
 
-# An option is (converter-from-string, hard default, help); the same table
-# declares the --flag-name argument and converts --config values.
-_Option = tuple[Callable[[str], Any], Any, str]
+# An option is (converter-from-string, help); the same table declares the
+# --flag-name argument and converts --config values.  Defaults are the
+# library's: an option left unset is not passed on.
+_Option = tuple[Callable[[str], Any], str]
 
-_THREADS: _Option = (_arg_positive_int, None, "worker threads")
+_THREADS: _Option = (_arg_positive_int, "worker threads")
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -176,7 +177,7 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _merged(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict[str, Any]:
-    """Resolve the subcommand's options: command line > config file > hard default."""
+    """Resolve the subcommand's options: command line > config file > None (unset)."""
     registry: dict[str, _Option] = args.options
     from_file: dict[str, Any] = {}
     if getattr(args, "config", None):
@@ -192,12 +193,15 @@ def _merged(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict[s
             except argparse.ArgumentTypeError as exc:
                 parser.error(f"config key {key!r}: {exc}")
     out: dict[str, Any] = {}
-    for key, (_, default, _) in registry.items():
+    for key in registry:
         value = getattr(args, key, None)
-        if value is None:
-            value = from_file.get(key, default)
-        out[key] = value
+        out[key] = from_file.get(key) if value is None else value
     return out
+
+
+def _given(opts: dict[str, Any], *keys: str) -> dict[str, Any]:
+    """The options among ``keys`` that a flag or the config file set."""
+    return {key: opts[key] for key in keys if opts[key] is not None}
 
 
 def _require(parser: argparse.ArgumentParser, opts: dict[str, Any], key: str) -> Any:
@@ -214,14 +218,8 @@ def _cmd_render(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     opts = _merged(parser, args)
     out_path = _require(parser, opts, "out")
     spec = RenderSpec(
-        map_kind=opts["map"],
-        a=opts["a"],
-        viewport=opts["viewport"],
-        width=opts["width"],
-        height=opts["height"],
-        max_iter=opts["max_iter"],
-        bailout=opts["bailout"],
-        coloring=opts["coloring"],
+        map_kind=opts["map"] or "exponential",
+        **_given(opts, "a", "viewport", "width", "height", "max_iter", "bailout", "coloring"),
     )
     # One classification feeds both outputs.  It is looked up on the module,
     # so a wrapper installed on ``render.classify_grid`` sees this call.
@@ -237,11 +235,11 @@ def _cmd_classify_point(parser: argparse.ArgumentParser, args: argparse.Namespac
     opts = _merged(parser, args)
     z = _require(parser, opts, "z")
     if opts["map"] == "fatou":
-        result = fatou_classify(z, depth=opts["depth"])
+        result = fatou_classify(z, **_given(opts, "depth"))
     else:
         a = _require(parser, opts, "a")
         p = Params(a=a)
-        result = classify_point(p, z, depth=opts["depth"], bailout=opts["bailout"])
+        result = classify_point(p, z, **_given(opts, "depth", "bailout"))
     print(report_line(result))
     return 0
 
@@ -250,7 +248,7 @@ def _cmd_classify_param(parser: argparse.ArgumentParser, args: argparse.Namespac
     opts = _merged(parser, args)
     a = _require(parser, opts, "a")
     p = Params(a=a)
-    result = classify_param(p, max_period=opts["max_period"], depth=opts["depth"])
+    result = classify_param(p, **_given(opts, "max_period", "depth"))
     print(report_line(result))
     return 0
 
@@ -261,15 +259,9 @@ def _cmd_trace_hair(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     address = _require(parser, opts, "address")
     p = Params(a=a)
     if opts["depth"] is not None:
-        point = trace_hair(p, address, depth=opts["depth"], anchor=opts["anchor"])
+        point = trace_hair(p, address, **_given(opts, "depth", "anchor"))
     else:
-        point = endpoint_estimate(
-            p,
-            address,
-            tol=opts["tol"],
-            max_depth=opts["max_depth"],
-            anchor=opts["anchor"],
-        )
+        point = endpoint_estimate(p, address, **_given(opts, "tol", "max_depth", "anchor"))
     print(
         f"address={point.address} "
         f"z={_fmt_real(point.z.real)},{_fmt_real(point.z.imag)} "
@@ -296,16 +288,16 @@ _COMMANDS: dict[str, tuple[str, Callable[..., int], dict[str, _Option]]] = {
         "rasterize a map to a PGM image",
         _cmd_render,
         {
-            "map": (_arg_map, "exponential", "exp (default) or fatou"),
-            "a": (_arg_complex, 0j, "parameter, e.g. -2+0i"),
-            "viewport": (_arg_viewport, None, "x_min,x_max,y_min,y_max"),
-            "width": (_arg_positive_int, 800, "pixels per row"),
-            "height": (_arg_positive_int, 800, "pixel rows"),
-            "max_iter": (_arg_positive_int, 60, "iteration depth per pixel"),
-            "bailout": (_arg_float, 1e10, "escape radius, at most 1e15"),
-            "coloring": (_arg_coloring, "classification", "classification or escape-count"),
-            "out": (str, None, "output PGM path"),
-            "csv": (str, None, "also dump per-pixel 'x,y,tag,exit' CSV here"),
+            "map": (_arg_map, "exp (default) or fatou"),
+            "a": (_arg_complex, "parameter, e.g. -2+0i"),
+            "viewport": (_arg_viewport, "x_min,x_max,y_min,y_max"),
+            "width": (_arg_positive_int, "pixels per row"),
+            "height": (_arg_positive_int, "pixel rows"),
+            "max_iter": (_arg_positive_int, "iteration depth per pixel"),
+            "bailout": (_arg_float, "escape radius, at most 1e15"),
+            "coloring": (_arg_coloring, "classification or escape-count"),
+            "out": (str, "output PGM path"),
+            "csv": (str, "also dump per-pixel 'x,y,tag,exit' CSV here"),
             "threads": _THREADS,
         },
     ),
@@ -313,39 +305,39 @@ _COMMANDS: dict[str, tuple[str, Callable[..., int], dict[str, _Option]]] = {
         "classify one orbit",
         _cmd_classify_point,
         {
-            "map": (_arg_map, "exponential", "exp (default) or fatou"),
-            "a": (_arg_complex, None, "parameter (exp map)"),
-            "z": (_arg_complex, None, "seed point"),
-            "depth": (_arg_positive_int, 100, "orbit depth"),
-            "bailout": (_arg_float, 1e10, "escape radius, at most 1e15"),
+            "map": (_arg_map, "exp (default) or fatou"),
+            "a": (_arg_complex, "parameter (exp map)"),
+            "z": (_arg_complex, "seed point"),
+            "depth": (_arg_positive_int, "orbit depth"),
+            "bailout": (_arg_float, "escape radius, at most 1e15"),
         },
     ),
     "classify-param": (
         "classify a parameter",
         _cmd_classify_param,
         {
-            "a": (_arg_complex, None, "parameter"),
-            "max_period": (_arg_positive_int, 32, "longest cycle period tried"),
-            "depth": (_arg_positive_int, 2000, "singular orbit depth"),
+            "a": (_arg_complex, "parameter"),
+            "max_period": (_arg_positive_int, "longest cycle period tried"),
+            "depth": (_arg_positive_int, "singular orbit depth"),
         },
     ),
     "trace-hair": (
         "pull back a hair point",
         _cmd_trace_hair,
         {
-            "a": (_arg_complex, None, "parameter"),
-            "address": (_arg_address, None, "external address 'p1,p2|t1,t2'"),
-            "tol": (_arg_float, 1e-10, "endpoint residual target"),
-            "max_depth": (_arg_positive_int, 512, "deepest pullback tried"),
-            "depth": (_arg_positive_int, None, "fixed pullback depth (skips deepening)"),
-            "anchor": (_arg_complex, None, "pullback start point"),
+            "a": (_arg_complex, "parameter"),
+            "address": (_arg_address, "external address 'p1,p2|t1,t2'"),
+            "tol": (_arg_float, "endpoint residual target"),
+            "max_depth": (_arg_positive_int, "deepest pullback tried"),
+            "depth": (_arg_positive_int, "fixed pullback depth (skips deepening)"),
+            "anchor": (_arg_complex, "pullback start point"),
         },
     ),
 }
 
 
 def _add_options(cmd: argparse.ArgumentParser, options: dict[str, _Option]) -> None:
-    for dest, (convert, _, help_text) in options.items():
+    for dest, (convert, help_text) in options.items():
         cmd.add_argument("--" + dest.replace("_", "-"), dest=dest, type=convert, help=help_text)
 
 

@@ -41,7 +41,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .classify import ATTRACT_CUT, CYCLE_DETECT_TOL, Attracting, classify_param
+from .classify import ATTRACT_CUT, BASIN_PERIODS, BASIN_RECHECK, CYCLE_DETECT_TOL, Attracting
+from .classify import classify_param
 from .classify import _UNIT_ROUNDOFF, _direct_bound, _domination_table, _settle_bound
 from .expmap import MAG_GUARD, RE_OVERFLOW, Params, _check_bailout, _check_count, _leaves, _reach
 from .fatoufn import BOUNDED_BOX, DRIFT_THRESHOLD, DRIFT_WINDOW, _RE_UNDERFLOW
@@ -72,11 +73,11 @@ TAG_NAMES = ("FastEscaping", "EscapingSlow", "NonEscapingBounded", "Basin", "Und
 _CLASS_COLORS = np.array([0, 96, 192, 255, 128], dtype=np.uint8)
 
 # Widest row of one 300 MB work block: the exponential kernel holds at most
-# about 1 kB per pixel (43 tail rows plus per-step temporaries, when every
-# pixel stays in the set, or a 32-byte record per pixel that exits within
-# max_iter) whatever max_iter is, and a block holds at least one row.  A pool
-# has ``workers`` blocks in flight in one process, so its kernels hold up to
-# ``workers`` times this.
+# about 1 kB per pixel (BASIN_PERIODS + BASIN_RECHECK + 1 = 43 tail rows plus
+# per-step temporaries, when every pixel stays in the set, or a 32-byte record
+# per pixel that exits within max_iter) whatever max_iter is, and a block
+# holds at least one row.  A pool has ``workers`` blocks in flight in one
+# process, so its kernels hold up to ``workers`` times this.
 _MAX_WIDTH = 300_000
 
 # Outward rounding of a trapping disc: a point whose computed distance to the
@@ -190,8 +191,8 @@ def _trapping_discs(
     ``CYCLE_DETECT_TOL / 4`` and must close into itself, ``rho^(0)_p <=
     rho^(0)_0``, which radii this small can because ``prod e^{Re c_i} =
     |lambda| < 1``: a float orbit in ``D^(0)_i`` stays in the level-0 disc
-    of its cycle index for ever.  None unless it closes, ``p <= min(32,
-    depth)``, ``2 max r_i < CYCLE_DETECT_TOL`` (checked as the chain is
+    of its cycle index for ever.  None unless it closes, ``p <=
+    min(BASIN_PERIODS, depth)``, ``2 max r_i < CYCLE_DETECT_TOL`` (checked as the chain is
     built, so no radius past it reaches ``expm1``) and ``sum(Re c_i + r_i)
     + 4(p + 1)u(sum(|Re c_i| + r_i) + 1) < ATTRACT_CUT`` (a float sum of
     ``p`` terms errs by at most ``gamma_p`` times their absolute sum;
@@ -208,7 +209,7 @@ def _trapping_discs(
     level-0 argument of :func:`_exp_block` takes over.
     """
     verdict = classify_param(Params(a))
-    if not isinstance(verdict, Attracting) or verdict.period > min(32, depth):
+    if not isinstance(verdict, Attracting) or verdict.period > min(BASIN_PERIODS, depth):
         return None
     cycle, p = verdict.cycle, verdict.period
     grow = [math.exp(c.real) for c in cycle]  # Re c_i <= 700, else find_cycle raised
@@ -244,19 +245,21 @@ def _trapping_discs(
 
 @lru_cache(maxsize=None)
 def _singular_tags(a: complex, depth: int, bailout: float) -> np.ndarray | None:
-    """Tag of a pixel in the set with ``z_s == a``, for ``s = 0 .. max(0, depth - 32)``, or None.
+    """Tag of a pixel in the set with ``z_s == a``, for ``s = 0 .. first``, or None.
 
-    From step ``s`` on, such a pixel's points are the singular orbit ``w_k
-    = f^k(a)``, computed here by the kernel's own ``np.exp(w) + a``: the
-    two orbits can differ only in the sign of a zero component (``z_s ==
-    a`` compares ``-0.0`` equal to ``0.0``), which no ``abs``, comparison
-    or window sum sees.  If no point of ``w_0 .. w_{depth + 10}`` leaves by
+    ``first = max(0, depth - BASIN_PERIODS)`` is the first step of the
+    basin window and ``total = depth + BASIN_RECHECK`` its last.  From
+    step ``s`` on, such a pixel's points are the singular orbit ``w_k =
+    f^k(a)``, computed here by the kernel's own ``np.exp(w) + a``: the two
+    orbits can differ only in the sign of a zero component (``z_s == a``
+    compares ``-0.0`` equal to ``0.0``), which no ``abs``, comparison or
+    window sum sees.  If no point of ``w_0 .. w_total`` leaves by
     :func:`expbouquet.expmap._leaves` on ``np.hypot``, the kernel's
     predicate and modulus, the pixel never leaves (exit -1) and its tag is
-    :func:`_basin_mask` on the tail rows ``w_{t - s}``, ``t = max(0, depth
-    - 32) .. depth + 10``; otherwise None.  One vectorized basin test
-    covers every ``s``: row ``t`` holds ``w_{t - s}`` at position ``s``.
-    The table is read-only.
+    :func:`_basin_mask` on the tail rows ``w_{t - s}``, ``t = first ..
+    total``; otherwise None.  One vectorized basin test covers every
+    ``s``: row ``t`` holds ``w_{t - s}`` at position ``s``.  The table is
+    read-only.
 
     NaN never leaves, yet no non-finite point passes unseen: the first one
     comes right after a point with ``Re w > 700``, which leaves.  From a
@@ -264,7 +267,7 @@ def _singular_tags(a: complex, depth: int, bailout: float) -> np.ndarray | None:
     a`` is finite, since ``|a| < 9e307`` (``Params`` checks ``3 + 2|a|``
     finite).
     """
-    total = depth + 10
+    first, total = max(0, depth - BASIN_PERIODS), depth + BASIN_RECHECK
     orbit = [np.complex128(a)]
     with np.errstate(all="ignore"):
         for _ in range(total):
@@ -272,8 +275,8 @@ def _singular_tags(a: complex, depth: int, bailout: float) -> np.ndarray | None:
     w = np.array(orbit)
     if np.any(_leaves(w.real, np.hypot(w.real, w.imag), bailout)[1]):
         return None
-    shifts = np.arange(max(0, depth - 32) + 1)
-    rows = [w[t - shifts] for t in range(max(0, depth - 32), total + 1)]
+    shifts = np.arange(first + 1)
+    rows = [w[t - shifts] for t in range(first, total + 1)]
     tags = np.where(_basin_mask(rows, depth), TAG_BASIN, TAG_BOUNDED).astype(np.uint8)
     tags.flags.writeable = False
     return tags
@@ -296,17 +299,19 @@ def _exp_caches(spec: RenderSpec) -> tuple[tuple | None, np.ndarray | None]:
 def _basin_mask(tail: list[np.ndarray], depth: int) -> np.ndarray:
     """Positions whose tail rows pass some period test of ``classify_point``'s basin rule.
 
-    ``tail`` holds the points of steps ``max(0, depth - 32) .. depth + 10``,
-    one row per step, in one order.  Position ``i`` passes period ``q <=
-    min(32, depth)`` when its points ``q`` apart are within
-    ``CYCLE_DETECT_TOL`` at ``depth`` and at ``depth + 10``, and the real
-    parts of its last ``q`` points, summed in ascending step order as the
-    scalar classifier sums them term for term, are below ``ATTRACT_CUT``.
+    ``tail`` holds the points of steps ``max(0, depth - BASIN_PERIODS) ..
+    depth + BASIN_RECHECK``, one row per step, in one order.  Position
+    ``i`` passes period ``q <= min(BASIN_PERIODS, depth)`` when its points
+    ``q`` apart are within ``CYCLE_DETECT_TOL`` at ``depth`` and at ``depth
+    + BASIN_RECHECK``, and the real parts of its last ``q`` points, summed
+    in ascending step order as the scalar classifier sums them term for
+    term, are below ``ATTRACT_CUT``.
     """
-    z_depth, z_total = tail[-11], tail[-1]  # steps depth and depth + 10
+    at_depth = -1 - BASIN_RECHECK  # the row of step depth
+    z_depth, z_total = tail[at_depth], tail[-1]
     basin = np.zeros(z_total.size, dtype=bool)
-    for q in range(1, min(32, depth) + 1):
-        close = np.flatnonzero(~basin & (np.abs(z_depth - tail[-11 - q]) < CYCLE_DETECT_TOL))
+    for q in range(1, min(BASIN_PERIODS, depth) + 1):
+        close = np.flatnonzero(~basin & (np.abs(z_depth - tail[at_depth - q]) < CYCLE_DETECT_TOL))
         close = close[np.abs(z_total[close] - tail[-1 - q][close]) < CYCLE_DETECT_TOL]
         if close.size:
             acc = tail[-1 - q].real[close]
@@ -370,18 +375,19 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     the bailout, below ``1e15`` and at ``Re z <= 700``, so no pixel in a
     disc leaves.
 
-    The orbit tail that basin detection reads is kept in set order: from
-    step ``max(0, max_iter - 32)`` on, each step's ``z`` array is kept as
+    The orbit tail that basin detection reads is the basin window, steps
+    ``first = max(0, max_iter - BASIN_PERIODS)`` to ``total = max_iter +
+    BASIN_RECHECK``, kept in set order: each step's ``z`` array is kept as
     that step's row, and each compaction of the set also runs over the
     rows kept so far, so position ``i`` of every row holds the point of
     ``pixel[i]``.  This gives the bytes of a pass over raster-order rows,
-    where a pixel is NaN from the step it leaves or retires: its
-    ``max_iter + 10`` test fails there, so only the pixels that never
-    left can turn ``Basin``.  They are the set left at the end, and its
-    rows hold their points, compared and summed in the same order.  At
-    step ``max_iter`` the pixels that fail ``|z_max_iter - z_{max_iter-q}|
-    < CYCLE_DETECT_TOL`` for every ``q <= min(32, max_iter)`` are retired:
-    a ``Basin`` tag needs that test, and no exit is written past
+    where a pixel is NaN from the step it leaves or retires: its ``total``
+    test fails there, so only the pixels that never left can turn
+    ``Basin``.  They are the set left at the end, and its rows hold their
+    points, compared and summed in the same order.  At step ``max_iter``
+    the pixels that fail ``|z_max_iter - z_{max_iter-q}| <
+    CYCLE_DETECT_TOL`` for every ``q <= min(BASIN_PERIODS, max_iter)`` are
+    retired: a ``Basin`` tag needs that test, and no exit is written past
     ``max_iter``, so they stay ``NonEscapingBounded`` with exit -1 as in
     the full pass.
 
@@ -395,21 +401,21 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     and is in the level-0 disc ``D^(0)_k`` by step ``n + jp <= max_iter -
     p``.  From there every float point stays in the level-0 disc of its
     cycle index, and the ``q = p`` test passes at ``max_iter`` and
-    ``max_iter + 10``: the compared points share a level-0 disc, those
+    ``total``: the compared points share a level-0 disc, those
     discs are narrower than ``CYCLE_DETECT_TOL``, and the window sums below
     ``ATTRACT_CUT``.  The tag does not record ``q``.
 
-    A pixel still in the set at a step ``s <= max(0, max_iter - 32)`` with
-    ``z_s == a`` is cut too, with exit -1 and the tag that
-    :func:`_singular_tags` gives for ``s``, when that table exists.  The
-    bytes are those of the full pass: its later points are the singular
-    orbit's, computed by the same ``np.exp(z) + a``, up to the sign of a
-    zero component, which no ``abs``, comparison or window sum sees.  The
-    table exists only if the singular orbit meets no switch rule through
-    step ``max_iter + 10``, so the pixel never leaves; and ``s <= max_iter
-    - 32`` puts every tail row basin detection reads at a step ``>= s``,
-    on the singular orbit, where the table ran the same basin test
-    (:func:`_basin_mask`) on the same points.  A pixel that is both in a
+    A pixel still in the set at a step ``s <= first`` with ``z_s == a`` is
+    cut too, with exit -1 and the tag that :func:`_singular_tags` gives
+    for ``s``, when that table exists.  The bytes are those of the full
+    pass: its later points are the singular orbit's, computed by the same
+    ``np.exp(z) + a``, up to the sign of a zero component, which no
+    ``abs``, comparison or window sum sees.  The table exists only if the
+    singular orbit meets no switch rule through step ``total``, so the
+    pixel never leaves; and ``s <= first`` puts every tail row basin
+    detection reads at a step ``>= s``, on the singular orbit, where the
+    table ran the same basin test (:func:`_basin_mask`) on the same
+    points.  A pixel that is both in a
     disc and on ``a`` gets ``Basin`` from both.  The scalar
     ``classify_point`` takes neither shortcut: it is their independent
     oracle.  At each such step one compare of the whole set with ``a``
@@ -420,13 +426,13 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     """
     a = spec.a
     depth = spec.max_iter
-    total = depth + 10
+    first, total = max(0, depth - BASIN_PERIODS), depth + BASIN_RECHECK
     reach = _reach(spec.bailout)
 
     xs, ys = _pixel_centers(spec, y_start, y_stop)
     z = (xs[None, :] + 1j * ys[:, None]).reshape(-1)
     npix = z.size
-    tail = []  # z at steps max(0, max_iter - 32) .. total, in set order
+    tail = []  # z at steps first .. total, in set order
 
     discs, singular = _exp_caches(spec)
     last_retire = -1  # retire into a largest disc at steps n <= last_retire
@@ -438,7 +444,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
             i = int(np.argmax(radii))
             largest.append((cycle[i], radii[i], abs(cycle[i])))
         last_retire = depth - p
-    last_singular = -1 if singular is None else max(0, depth - 32)
+    last_singular = -1 if singular is None else first
 
     # The direct set in set order: pixel[i] is the raster index of position
     # i, whose point is z[i].  Tags and exits are in raster order.
@@ -483,7 +489,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                 # Only pixels with |z_max_iter - z_{max_iter-q}| < tol for
                 # some q can turn Basin; the rest stay NonEscapingBounded.
                 keep = np.zeros(z.size, dtype=bool)
-                for row in tail:  # q = 1 .. min(32, max_iter)
+                for row in tail:  # q = 1 .. min(BASIN_PERIODS, max_iter)
                     keep |= np.abs(z - row) < CYCLE_DETECT_TOL
                 bounded = np.flatnonzero(~keep)
                 if bounded.size:
@@ -499,7 +505,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                 break
             if n < depth:
                 np.maximum(offset, _direct_bound(a, depth, n, az), out=offset)
-            if n >= depth - 32:  # basin detection reads these steps
+            if n >= first:  # basin detection reads these steps
                 tail.append(z)
             z = np.exp(z) + a
             az = np.abs(z)
@@ -511,7 +517,7 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
             ell = _settle_bound(a, depth, steps, *map(np.concatenate, rest))
             tags[np.concatenate(out)] = np.where(ell <= depth - 3, TAG_FAST, TAG_SLOW)
 
-        # Basin detection on the set left at max_iter + 10: the pixels
+        # Basin detection on the set left at total: the pixels
         # that never left (the loop ends early only on an empty set).
         if pixel.size:
             tail.append(z)
@@ -630,14 +636,14 @@ def classify_grid(spec: RenderSpec, workers: int | None = None) -> tuple[np.ndar
     kernel's cuts, which give the tag and exit of the full pass
     (:func:`_exp_block` and :func:`_trapping_discs` have the arguments).
 
-    Each block writes its rows into the two result arrays, inline for one
-    worker or one block, else from a pool of ``workers`` threads in this
-    process; NumPy releases the GIL inside the kernels' loops, so blocks
-    overlap.  The kernel's caches (:func:`_exp_caches`) are built before
-    the pool starts, so no two threads build the same entry, and the
-    kernels read no other module state.  An error in a block propagates,
-    the blocks not yet started are cancelled, and every pool thread has
-    ended when the call returns.
+    Each block writes its rows into the two result arrays from a pool of
+    ``min(workers, blocks)`` threads in this process (at least one);
+    NumPy releases the GIL inside the kernels' loops, so blocks overlap.
+    The kernel's caches (:func:`_exp_caches`) are built before the pool
+    starts, so no two threads build the same entry, and the kernels read
+    no other module state.  An error in a block propagates, the blocks not
+    yet started are cancelled, and every pool thread has ended when the
+    call returns.
     """
     if workers is None:
         try:
@@ -653,13 +659,9 @@ def classify_grid(spec: RenderSpec, workers: int | None = None) -> tuple[np.ndar
     def fill(y_start: int, y_stop: int) -> None:
         tags[y_start:y_stop], exits[y_start:y_stop] = kernel(spec, y_start, y_stop)
 
-    if workers <= 1 or len(blocks) == 1:
-        for block in blocks:
-            fill(*block)
-        return tags, exits
     if spec.map_kind == "exponential":
         _exp_caches(spec)  # built here, so no two threads build one entry
-    pool = ThreadPoolExecutor(min(workers, len(blocks)))
+    pool = ThreadPoolExecutor(max(1, min(workers, len(blocks))))
     try:
         for done in [pool.submit(fill, *block) for block in blocks]:
             done.result()

@@ -37,6 +37,7 @@ from .render import (
     TAG_NAMES,
     TAG_SLOW,
     RenderSpec,
+    _pixel_centers,
     classify_grid,
     colorize,
     default_viewport,
@@ -551,12 +552,11 @@ def differential_row(spec: RenderSpec) -> Check:
     an exit (any step) exactly when it is ``FastEscaping``.
     """
     tags, exits = classify_grid(spec, workers=1)
-    x0, x1, y0, y1 = spec.viewport
-    dx, dy = (x1 - x0) / spec.width, (y1 - y0) / spec.height
+    xs, ys = _pixel_centers(spec, 0, spec.height)
     p = Params(spec.a)
     bad: list[str] = []
     for (i, j), tag in np.ndenumerate(tags):
-        z = complex(x0 + (j + 0.5) * dx, y1 - (i + 0.5) * dy)
+        z = complex(xs[j], ys[i])
         if spec.map_kind == "fatou":
             got = fatou_classify(z, depth=spec.max_iter)
         else:

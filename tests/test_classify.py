@@ -672,8 +672,10 @@ class TestClassifyParam:
         assert got == SingularValueEscapes(first_exit_step=2)
 
     def test_huge_singular_value_escapes_at_once(self):
+        # The singular value is the first point of the track and leaves at
+        # step 0, as a seed past the bailout does in classify_point.
         for a in (1e300, -1e300, 1e300j, -1e300 - 1e300j):
-            assert classify_param(Params(a)) == SingularValueEscapes(first_exit_step=1)
+            assert classify_param(Params(a)) == SingularValueEscapes(first_exit_step=0)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -697,16 +699,81 @@ def _detect_revisit_by_scan(zs):
 
 
 def _singular_orbit(a, depth=2000):
-    """The points ``classify_param`` hands to the revisit search."""
+    """The points ``classify_param`` searches and its exit step (None if none), for ``|a| < 1e15``.
+
+    The orbit exits at step ``n`` when ``Re z_{n-1} > 700`` stops the step
+    to ``z_n`` or when ``|z_n| >= 1e15``; the points are those before it.
+    """
     zs, z = [a], a
-    for _ in range(depth):
-        if z.real > classify.RE_OVERFLOW:
-            break
+    for n in range(1, depth + 1):
+        if z.real > expmap.RE_OVERFLOW:
+            return zs, n
         z = cmath.exp(z) + a
-        if abs(z) >= classify.MAG_GUARD:
-            break
+        if abs(z) >= expmap.MAG_GUARD:
+            return zs, n
         zs.append(z)
-    return zs
+    return zs, None
+
+
+# (a, exit step at depth 100) for each way the singular orbit leaves: Re z_0
+# and Re z_1 past 700 alone, |z_1| >= 1e15, |z_100| >= 1e15 and Re z_99 past
+# 700 alone (both at step depth), and Re z_100 past 700 alone (no exit).
+LEAVE_KINDS = [(701, 1), (10, 2), (35, 1), (600 + 3j, 1), (-0.99803, 100), (-0.99801, 100),
+               (-0.99805, None)]
+
+
+def _seeded_params(count):
+    """``count`` parameters from each of the survey box, [-8, 8]^2 and Re a in [600, 710]."""
+    rng = np.random.default_rng(7)
+    boxes = [(0.5, 1.5, 1.5, 3.5), (-8.0, 8.0, -8.0, 8.0), (600.0, 710.0, -8.0, 8.0)]
+    return [complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
+            for x0, x1, y0, y1 in boxes for _ in range(count)]
+
+
+class TestSingularOrbit:
+    """``classify_param`` exits and searches as the oracle loop does, for ``|a| < 1e15``."""
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """The points handed to the cycle and revisit searches, by search."""
+        calls = {}
+        cycle, revisit = classify._detect_param_cycle, classify._detect_revisit
+
+        def spy_cycle(p, zs, max_period):
+            calls["cycle"] = list(zs)
+            return cycle(p, zs, max_period)
+
+        def spy_revisit(zs):
+            calls["revisit"] = list(zs)
+            return revisit(zs)
+
+        monkeypatch.setattr(classify, "_detect_param_cycle", spy_cycle)
+        monkeypatch.setattr(classify, "_detect_revisit", spy_revisit)
+        return calls
+
+    def check(self, searched, a, depth):
+        searched.clear()
+        got = classify_param(Params(a), depth=depth)
+        zs, exit_step = _singular_orbit(complex(a), depth)
+        if exit_step is None:
+            assert searched["cycle"] == zs
+            assert searched.get("revisit", zs) == zs
+            assert not isinstance(got, SingularValueEscapes)
+        else:
+            assert "cycle" not in searched
+            assert searched["revisit"] == zs
+            if not isinstance(got, PostsingularlyFinite):
+                assert got == SingularValueEscapes(first_exit_step=exit_step)
+        return exit_step
+
+    @pytest.mark.parametrize("a, want", LEAVE_KINDS)
+    def test_each_leave_kind(self, searched, a, want):
+        assert self.check(searched, a, 100) == want
+
+    @pytest.mark.parametrize("depth, count", [(100, 100), (2000, 20)])
+    def test_seeded_parameters(self, searched, depth, count):
+        exits = [self.check(searched, a, depth) for a in _seeded_params(count)]
+        assert any(e is None for e in exits) and any(e is not None for e in exits)
 
 
 REPEL_CUT = math.log1p(classify.PARABOLIC_BAND)
@@ -759,7 +826,7 @@ class TestRevisitSearch:
     @example(LONG_CYCLE_A)
     @example(PSF_A)
     def test_matches_quadratic_scan_on_singular_orbits(self, a):
-        zs = _singular_orbit(a)
+        zs, _ = _singular_orbit(a)
         assert classify._detect_revisit(zs) == _detect_revisit_by_scan(zs)
 
     def test_cell_edge_pairs(self):
@@ -794,7 +861,7 @@ class TestRevisitSearch:
         assert np_sums == [1, 1, 1]
 
     def test_attracting_revisits_need_no_exact_sum(self, np_sums):
-        zs = _singular_orbit(LONG_CYCLE_A)
+        zs, _ = _singular_orbit(LONG_CYCLE_A)
         assert len(zs) == 2001
         assert classify._detect_revisit(zs) is None
         assert np_sums == []

@@ -10,10 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expbouquet import verify
-from expbouquet.classify import ConvergenceError
+from expbouquet.classify import ConvergenceError, classify_param, classify_point, report_line
 from expbouquet.cli import main, parse_complex
+from expbouquet.expmap import Params
+from expbouquet.fatoufn import fatou_classify
 from expbouquet.render import RenderSpec, _block_rows, default_viewport
-from expbouquet.symbolic import ExternalAddress, PreconditionError
+from expbouquet.symbolic import ExternalAddress, PreconditionError, endpoint_estimate
 
 # the module (the package attribute ``expbouquet.render`` is the function)
 raster = importlib.import_module("expbouquet.render")
@@ -519,6 +521,38 @@ class TestTraceHair:
         )
         assert code == 2
         assert "address" in err
+
+
+class TestLibraryDefaults:
+    """With no optional flag, each subcommand prints the library call's result at its defaults."""
+
+    def test_render(self, tmp_path, capsys):
+        out_path, want = tmp_path / "cli.pgm", tmp_path / "lib.pgm"
+        assert run(["render", "--out", str(out_path)], capsys) == (0, "", "")
+        raster.write_pgm(raster.render(RenderSpec("exponential")), str(want))
+        assert out_path.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("z", ["1+1i", "10", "-3+0.5i"])
+    def test_classify_point(self, z, capsys):
+        want = report_line(classify_point(Params(-2), parse_complex(z)))
+        assert run(["classify-point", "--a", "-2", "--z", z], capsys) == (0, want + "\n", "")
+        want = report_line(fatou_classify(parse_complex(z)))
+        assert run(["classify-point", "--map", "fatou", "--z", z], capsys) == (0, want + "\n", "")
+
+    @pytest.mark.parametrize("a", ["-2", "10", "1.004+2.9i", "0.95192146+1.69414427i"])
+    def test_classify_param(self, a, capsys):
+        want = report_line(classify_param(Params(parse_complex(a))))
+        assert run(["classify-param", "--a", a], capsys) == (0, want + "\n", "")
+
+    def test_trace_hair(self, capsys):
+        point = endpoint_estimate(Params(-2), ExternalAddress.parse("0,1|0"))
+        code, out, err = run(["trace-hair", "--a", "-2", "--address", "0,1|0"], capsys)
+        assert (code, err) == (0, "")
+        fields = parsed_fields(out.strip())
+        assert fields["z"] == f"{point.z.real:.17g},{point.z.imag:.17g}"
+        assert fields["residual"] == f"{point.residual:.17g}"
+        assert fields["depth"] == str(point.depth)
+        assert fields["converged"] == ("true" if point.converged else "false")
 
 
 MAXMOD_PARAMS = ("-2+0i", "-1+0i", "5+3.14i", "2.06+1.57i", "1.004+2.9i")
