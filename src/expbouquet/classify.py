@@ -344,21 +344,19 @@ def find_cycle(
         raise ValueError("tol must be positive")
     a = p.a
 
-    def step_values(z: complex) -> tuple[complex, complex, list[complex], float]:
-        """Return (f^period(z) - z, its multiplier, the cycle points, their largest Re)."""
+    def step_values(z: complex) -> tuple[complex, complex, list[complex]]:
+        """Return (f^period(z) - z, its multiplier, the cycle points)."""
         w = z
         deriv = complex(1.0)
         points = []
-        top = -math.inf
         for _ in range(period):
             points.append(w)
-            top = max(top, w.real)
             e = cmath.exp(w)
             deriv *= e
             w = e + a
             if not (math.isfinite(w.real) and math.isfinite(w.imag)):
                 raise OverflowError("orbit overflow inside Newton step")
-        return w - z, deriv, points, top
+        return w - z, deriv, points
 
     z = complex(z_init)
     try:
@@ -366,9 +364,9 @@ def find_cycle(
     except OverflowError as exc:
         raise ConvergenceError(f"initial point overflows for period {period}") from exc
     for _ in range(200):
-        f_val, mult, cycle, top = walk
+        f_val, mult, cycle = walk
         if abs(f_val) < tol:
-            if top > RE_OVERFLOW:
+            if (top := max(c.real for c in cycle)) > RE_OVERFLOW:
                 raise OverflowError(f"cycle point has Re z = {top!r} > {RE_OVERFLOW}")
             return tuple(cycle), mult
         f_der = mult - 1.0

@@ -4,24 +4,27 @@ Each pixel is seeded at its cell center and classified with exactly the
 same rules as :func:`expbouquet.classify.classify_point` (respectively
 :func:`expbouquet.fatoufn.fatou_classify` for the drift map), evaluated
 in vectorized form, in one forward pass that keeps no per-step history.
-Each kernel iterates only the pixels that still need a step: the
-exponential kernel keeps one direct set (points evaluated with ``exp``)
-that a pixel leaves by the scalar track's switch predicate, its fast-escape
-offset settled at the end of its block, with every other leaver's, by
-the scalar classifier's own offset routine; or when it is trapped in a
-nested chain of discs about an attracting cycle and retired as ``Basin``
-(:func:`_trapping_discs`); or when it lands exactly on the singular value
-``a`` and takes the singular orbit's tag (:func:`_singular_tags`); or at
-``max_iter`` when it fails every period test that a ``Basin`` tag needs.
-Every cut keeps the bytes of the full pass; :func:`_exp_block` and
-:func:`_trapping_discs` have the arguments.  The drift kernel keeps a live
-set of index, ``z`` and ``max |z|`` that pixels leave on underflow, or
-from their first step with ``Re z >= 36`` on, where the real part alone
-fixes the drift run, and the run so far is 0 for a seed and 1 wherever
-it is read otherwise: a pixel exits in closed form when its run ends by
-``max_iter``, and is ``Undecided`` when the run would have to pass
-``2^53``, where the real part stops (:func:`_fatou_block` has the
-argument).  Both kernels leave their sets through :func:`_cut`.  The
+Each kernel iterates only the pixels that still need a step, and keeps
+per pixel only the state its tag reads.  The exponential kernel keeps one
+direct set of index and ``z`` (evaluated with ``exp``), with the orbit
+tail of the basin window.  A pixel leaves it by the scalar track's switch
+predicate, its fast-escape offset bounded from its last three direct
+points at most and settled at the end of its block, with every other
+leaver's, by the scalar classifier's own offset routine; or when it is
+trapped in a nested chain of discs about an attracting cycle and retired
+as ``Basin`` (:func:`_trapping_discs`); or when it lands exactly on the
+singular value ``a`` and takes the singular orbit's tag
+(:func:`_singular_tags`); or at ``max_iter`` when it fails every period
+test that a ``Basin`` tag needs.  Every cut keeps the bytes of the full
+pass; :func:`_exp_block` and :func:`_trapping_discs` have the arguments.
+The drift kernel keeps a live set of index, ``z`` and one bit, set once a
+point's libm ``hypot`` modulus passes ``BOUNDED_BOX``, that pixels leave
+on underflow, or from their first step with ``Re z >= 36`` on, where the
+real part alone fixes the drift run, and the run so far is 0 for a seed
+and 1 wherever it is read otherwise: a pixel exits in closed form when
+its run ends by ``max_iter``, and is ``Undecided`` when the run would
+have to pass ``2^53``, where the real part stops (:func:`_fatou_block`
+has the argument).  Both kernels leave their sets through :func:`_cut`.  The
 grid is cut into fixed horizontal blocks that are pure functions of the
 render description, so output bytes are identical across runs, worker
 counts and scheduling orders; a pool of threads in one process writes
@@ -344,9 +347,10 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
 
     Returns (tags, exits) with shape (rows, width); exit is -1 where the
     orbit never crossed the bailout within ``max_iter`` steps.  One forward
-    pass keeps one pixel set, the direct set: per pixel its raster index,
-    point ``z`` (evaluated with ``exp``), ``|z|`` and running fast-escape
-    offset bound.  A pixel leaves it by the scalar track's predicate
+    pass keeps one pixel set, the direct set: per pixel its raster index
+    and point ``z`` (evaluated with ``exp``), and the tail rows below;
+    ``|z|`` is taken at the top of each step and read by that step only.
+    A pixel leaves the set by the scalar track's predicate
     :func:`expbouquet.expmap._leaves` and never comes back.  Its exit
     step, the rule of :func:`expbouquet.classify.classify_point`, is
     written then: the step itself if the predicate's ``past``, else the
@@ -361,19 +365,27 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     ``np.abs`` is within a few ulps of ``hypot``, far inside that factor
     of 2.
 
-    The running offset bound is that of
-    :func:`expbouquet.classify.classify_point`, by the same routines: a
-    step in the set adds :func:`expbouquet.classify._direct_bound`, and
-    the pixels that leave at a step ``n <= max_iter`` are recorded (raster
-    index, ``n``, ``z_n``, the predicate's ``alone``, bound before ``n``)
-    and get their final bounds in one
-    :func:`expbouquet.classify._settle_bound` call at the end of the block
-    (its docstring has the argument).  A pixel is fast iff that bound is
-    ``<= max_iter - 3``.  Writing these tags last changes no
-    byte: the pixels that leave, those retired into a disc below and
-    those left in the set at the end are disjoint, since discs lie within
-    the bailout, below ``1e15`` and at ``Re z <= 700``, so no pixel in a
-    disc leaves.
+    The fast-escape offset bound ``ell`` is that of
+    :func:`expbouquet.classify.classify_point`, by the same routines, less
+    the terms no tag reads.  ``ell`` is the largest of 0 and the terms ``k
+    + 1 - c(k)`` over the orbit's steps ``k``
+    (:func:`expbouquet.classify._settle_bound` has the argument), and a
+    pixel is fast iff ``ell <= max_iter - 3``.  A term with ``k <= max_iter
+    - 4`` is at most ``max_iter - 3``, since ``c(k) >= 0``: dropping those
+    terms keeps ``ell <= max_iter - 3`` where it holds, and where it fails
+    a term of a step ``k >= max_iter - 3`` is past it and stays.  For
+    ``max_iter < 3`` every ``ell >= 0`` fails it, and every escaping pixel
+    is slow either way.  So a pixel that leaves at a step ``n <= max_iter``
+    is recorded (raster index, ``n``, ``z_n``, the predicate's ``alone``,
+    bound before ``n``) with the bound before ``n`` taken as ``max(0, max
+    over k in [max(max_iter - 3, 0), n - 1] of _direct_bound(|z_k|))``,
+    from the tail rows of those steps (at most three; they exist, since
+    ``max_iter - 3 >= first``).  Every leaver gets its final bound in one
+    :func:`expbouquet.classify._settle_bound` call at the end of the block.
+    Writing these tags last changes no byte: the pixels that leave, those
+    retired into a disc below and those left in the set at the end are
+    disjoint, since discs lie within the bailout, below ``1e15`` and at
+    ``Re z <= 700``, so no pixel in a disc leaves.
 
     The orbit tail that basin detection reads is the basin window, steps
     ``first = max(0, max_iter - BASIN_PERIODS)`` to ``total = max_iter +
@@ -421,7 +433,9 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     oracle.  At each such step one compare of the whole set with ``a``
     finds these pixels.
 
-    The loop stops once the set is empty, and basin detection runs only on
+    Each step marks its leavers, its retirees and the ``max_iter`` cut in
+    one mask, and cuts them from the set and its tail rows at once.  The
+    loop stops once the set is empty, and basin detection runs only on
     a nonempty set: an empty set has no step, no tail and no basin left.
     """
     a = spec.a
@@ -449,26 +463,29 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
     # The direct set in set order: pixel[i] is the raster index of position
     # i, whose point is z[i].  Tags and exits are in raster order.
     pixel = np.arange(npix)
-    offset = np.zeros(npix, dtype=np.int64)  # least admissible fast-escape offset
     exits = np.full(npix, -1, dtype=np.int64)
     tags = np.full(npix, TAG_BOUNDED, dtype=np.uint8)
-    leavers = []  # per step n <= max_iter with exits: (n, raster index, z_n, alone, bound)
+    leavers = []  # per step n <= max_iter: (n, raster index, z_n, alone, bound) of its exits
+    window = max(depth - 3, 0)  # the offset bound reads the steps from here on
 
     with np.errstate(all="ignore"):
-        az = np.abs(z)
         for n in range(total):
+            az = np.abs(z)
             # the scalar track's predicate, on the pixels past reach only
             cand = np.flatnonzero(az > reach)
             x, y = z.real[cand], z.imag[cand]
             past, leave, alone = _leaves(x, np.hypot(x, y), spec.bailout)
+            cut = np.zeros(z.size, dtype=bool)  # the positions whose verdict is fixed now
+            cut[cand[leave]] = True
             if n <= depth:
                 exiting = leave if n < depth else past  # others exit past depth
                 out = cand[exiting]
-                if out.size:
-                    exits[pixel[out]] = np.where(past[exiting], n, n + 1)
-                    leavers.append((n, pixel[out], z[out], alone[exiting], offset[out]))
-            gone = cand[leave]  # sorted positions to cut from the set
-            retired = []  # nonempty arrays of positions whose verdict is fixed now
+                exits[pixel[out]] = np.where(past[exiting], n, n + 1)
+                bound = np.zeros(out.size, dtype=np.int64)
+                for k in range(window, n):
+                    mag = np.abs(tail[k - n][out])
+                    np.maximum(bound, _direct_bound(a, depth, k, mag), out=bound)
+                leavers.append((n, pixel[out], z[out], alone[exiting], bound))
             if n <= last_retire:
                 # a pixel in level j at step n is in level 0 by step
                 # n + jp <= max_iter - p
@@ -477,45 +494,32 @@ def _exp_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarray,
                 # the pixels the moduli leave in reach only.
                 near = np.flatnonzero(np.abs(az - mk) <= rk)
                 near = near[np.abs(z[near] - ck) <= rk]
-                if near.size:
-                    tags[pixel[near]] = TAG_BASIN
-                    retired.append(near)
+                tags[pixel[near]] = TAG_BASIN
+                cut[near] = True
             if n <= last_singular:
-                hit = np.flatnonzero(z == a)
-                if hit.size:
-                    tags[pixel[hit]] = singular[n]
-                    retired.append(hit)
+                hit = z == a
+                tags[pixel[hit]] = singular[n]
+                cut |= hit
             if n == depth:
                 # Only pixels with |z_max_iter - z_{max_iter-q}| < tol for
                 # some q can turn Basin; the rest stay NonEscapingBounded.
                 keep = np.zeros(z.size, dtype=bool)
                 for row in tail:  # q = 1 .. min(BASIN_PERIODS, max_iter)
                     keep |= np.abs(z - row) < CYCLE_DETECT_TOL
-                bounded = np.flatnonzero(~keep)
-                if bounded.size:
-                    retired.append(bounded)
-            if retired:
-                cut = np.zeros(z.size, dtype=bool)
-                cut[gone] = True
-                for positions in retired:
-                    cut[positions] = True
-                gone = np.flatnonzero(cut)
-            pixel, offset, z, az, *tail = _cut(gone, [pixel, offset, z, az, *tail])
+                cut |= ~keep
+            pixel, z, *tail = _cut(np.flatnonzero(cut), [pixel, z, *tail])
             if not pixel.size:
                 break
-            if n < depth:
-                np.maximum(offset, _direct_bound(a, depth, n, az), out=offset)
             if n >= first:  # basin detection reads these steps
                 tail.append(z)
             z = np.exp(z) + a
-            az = np.abs(z)
 
-        # One settle for every pixel that exited within max_iter.
-        if leavers:
-            steps, out, *rest = zip(*leavers)
-            steps = np.repeat(steps, [o.size for o in out])
-            ell = _settle_bound(a, depth, steps, *map(np.concatenate, rest))
-            tags[np.concatenate(out)] = np.where(ell <= depth - 3, TAG_FAST, TAG_SLOW)
+        # One settle for every pixel that exited within max_iter (step 0
+        # is always run, so there is a record).
+        steps, out, *rest = zip(*leavers)
+        steps = np.repeat(steps, [o.size for o in out])
+        ell = _settle_bound(a, depth, steps, *map(np.concatenate, rest))
+        tags[np.concatenate(out)] = np.where(ell <= depth - 3, TAG_FAST, TAG_SLOW)
 
         # Basin detection on the set left at total: the pixels
         # that never left (the loop ends early only on an empty set).
@@ -530,7 +534,16 @@ def _fatou_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarra
     """Classify one row block of a drift-map raster.
 
     Only the live set is iterated: per live pixel its raster index, point
-    and running ``max |z|``.  A pixel leaves it on underflow
+    and one bit ``over``, set once a point's modulus passes
+    ``BOUNDED_BOX``; a pixel live at the end is ``NonEscapingBounded`` iff
+    it is clear.  The modulus is libm ``hypot``, as Python's complex
+    ``abs`` in ``fatou_classify`` (NumPy's complex abs can round a point
+    on ``|z| = BOUNDED_BOX`` to the other side).  The seeds take
+    ``np.hypot``; after each step it runs only on the pixels whose
+    ``np.abs(z)`` is not within ``BOUNDED_BOX / 2``, NaN included, so a
+    NaN point sets the bit.  ``np.abs`` is within a few ulps of
+    ``hypot``, far inside that factor 2, the margin of
+    :func:`expbouquet.expmap._reach`.  A pixel leaves the set on underflow
     (``Undecided``) or once its real part alone fixes its exit or its
     ``Undecided`` tag (below), in one cut per step (:func:`_cut`); the pass
     ends at ``max_iter`` or when the set is empty.
@@ -553,12 +566,12 @@ def _fatou_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarra
     floor(50 - x) + 1`` steps, and the exit is ``n + k* - 1``.  The pixel
     is decided at once, with no more complex steps, when that run ends by
     ``max_iter`` (``exit + DRIFT_WINDOW - 1 <= max_iter``): an exited
-    pixel's tag does not read ``max |z|``.  If ``x > 2^53 - 10 + r``, the
+    pixel's tag does not read ``over``.  If ``x > 2^53 - 10 + r``, the
     real part reaches ``2^53`` or more before the run ends, and from there
     no run reaches ``DRIFT_WINDOW``: the pixel never exits, and ``|z| >
     2^53 - 10`` is past ``BOUNDED_BOX``, so it is retired as ``Undecided``
     with exit -1.  Otherwise it keeps iterating, since its tag then depends
-    on ``max |z|``.
+    on ``over``.
 
     The kernel keeps no run: at a pixel's first step with ``x >= 36`` it
     is ``r = int(n > 1)`` wherever it is read.  At ``n = 1``, ``z`` is the
@@ -590,7 +603,7 @@ def _fatou_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarra
     npix = z.size
 
     pixel = np.arange(npix)
-    max_abs = np.abs(z)
+    over = ~(np.hypot(z.real, z.imag) <= BOUNDED_BOX)  # some |z_k| past the box
     exits = np.full(npix, -1, dtype=np.int64)
 
     with np.errstate(all="ignore"):
@@ -613,15 +626,17 @@ def _fatou_block(spec: RenderSpec, y_start: int, y_stop: int) -> tuple[np.ndarra
                 done = ends & (ex + (DRIFT_WINDOW - 1) <= depth)
                 exits[pixel[edge[near[done]]]] = ex[done]
                 gone[near[done | ~ends]] = True
-                pixel, z, max_abs = _cut(edge[gone], [pixel, z, max_abs])
+                pixel, z, over = _cut(edge[gone], [pixel, z, over])
             if not pixel.size:
                 break
             z = z + 1.0 + np.exp(-z)
-            max_abs = np.maximum(max_abs, np.abs(z))
+            # libm hypot on the pixels with np.abs(z) past half the box only
+            far = np.flatnonzero(~(np.abs(z) <= 0.5 * BOUNDED_BOX))
+            over[far] |= ~(np.hypot(z.real[far], z.imag[far]) <= BOUNDED_BOX)
 
     tags = np.full(npix, TAG_UNDECIDED, dtype=np.uint8)
     tags[exits >= 0] = TAG_SLOW
-    tags[pixel[max_abs <= BOUNDED_BOX]] = TAG_BOUNDED
+    tags[pixel[~over]] = TAG_BOUNDED
     rows = y_stop - y_start
     return tags.reshape(rows, spec.width), exits.reshape(rows, spec.width)
 

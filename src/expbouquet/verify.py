@@ -486,7 +486,11 @@ def suite_figures(threads: int | None = None) -> list[Check]:
 #: ``-38 + 1.2841385745966045i`` lands on ``2^53 - 9``, where a run of 1
 #: still ends below ``2^53`` (exit 1), and seeds about ``-4``, whose first
 #: step lands at ``Re z ~ 51.6`` with run 1 (the run the kernel derives for
-#: a pixel entering from below 36): they exit at 1 at ``max_iter`` 10.
+#: a pixel entering from below 36): they exit at 1 at ``max_iter`` 10.  And
+#: one 1x1 drift grid on the seed ``40 + 999999.9989875001i``, whose
+#: ``z_5 = 45 + 999999.9989875001i`` lies on the box ``|z| = 1e6``: NumPy's
+#: complex abs rounds its modulus to ``1e6``, libm ``hypot`` one ulp past it,
+#: and both sides read ``hypot``, so it is ``Undecided`` at ``max_iter`` 5.
 DIFFERENTIAL_GRIDS = tuple(
     RenderSpec(map_kind=kind, a=a, width=48, height=48, max_iter=depth)
     for kind, params in (
@@ -525,6 +529,11 @@ DIFFERENTIAL_GRIDS = tuple(
           1.2841385745966045 - 24.5 * 2.0**-51, 1.2841385745966045 + 23.5 * 2.0**-51), 60),
         ((-4.01, -3.99, -0.01, 0.01), 10),
     )
+) + (
+    RenderSpec(
+        "fatou", viewport=(39.5, 40.5, 999999.9989875001 - 2.0**-30, 999999.9989875001 + 2.0**-30),
+        width=1, height=1, max_iter=5,
+    ),
 )
 
 

@@ -79,6 +79,35 @@ def _centred_on(z):
 
 CIRCLE_SEEDS = _circle_seeds()
 
+# A drift-map seed whose fifth iterate 45 + 999999.9989875001i lies on the box
+# |z| = 1e6: NumPy's complex abs rounds its modulus to 1e6, libm hypot to one
+# ulp past it, so fatou_classify calls it Undecided at max_iter 5.
+BOX_SEED = complex(40.0, 999999.9989875001)
+
+
+def _box_seeds():
+    """``{(max_iter, i): z}``: drift seeds whose ``z_max_iter`` is near ``|z| = 1e6``.
+
+    From ``Re z >= 36`` the real part steps by exactly 1 and ``Im z`` stays
+    put (``|e^{-z}| <= e^{-36}`` is below half an ulp of either part), so
+    ``z_N = (x + N) + iy``.  Per depth ``N``, six ``x`` from
+    ``default_rng(6)`` keep ``x + N < 50``, where no drift run starts, and
+    ``y`` runs over the double nearest ``sqrt(1e12 - (x + N)^2)`` and its two
+    neighbours, of either sign.  Plus ``BOX_SEED`` at depth 5.
+    """
+    rng = np.random.default_rng(6)
+    seeds = {(5, "seed"): BOX_SEED}
+    for depth in (1, 5, 12):
+        xs, signs = rng.uniform(36.0, 49.0 - depth, 6), rng.choice([-1.0, 1.0], 6)
+        for i, (x, sign) in enumerate(zip(xs, signs)):
+            y = sign * math.sqrt(1e12 - (x + depth) ** 2)
+            for k in (-1, 0, 1):
+                seeds[depth, 3 * i + k + 1] = complex(x, y + k * math.ulp(y))
+    return seeds
+
+
+BOX_SEEDS = _box_seeds()
+
 
 # Centres of the largest trapping discs: the attracting fixed point of a = -2
 # and the cycle point of 5+3.14i that is not a itself.
@@ -231,6 +260,23 @@ DIFFERENTIAL_SPECS = {
         )
         for (bailout, i), z in CIRCLE_SEEDS.items()
     },
+    # |z_0| < R = 4 (c(0) = 0, an offset term of 1 = max_iter - 2) while
+    # |z_1| ~ 55 reaches M(R) as the table holds it: z_1 is past the bailout,
+    # so the pixel leaves at step 1 = max_iter - 2 with no later term past
+    # 0.  It is EscapingSlow only through the term of step max_iter - 3.
+    "offset-window-edge": _exp_spec(
+        0.5j, max_iter=3, size=1, bailout=10.0,
+        viewport=_centred_on(complex(3.999832560033123, 0.0365990669125697)),
+    ),
+    # 1x1 drift grids whose last iterate lies on the box |z| = 1e6, where
+    # NumPy's complex abs and libm hypot can round to opposite sides of it:
+    # the bounded test must read one modulus on both sides
+    **{
+        f"box-{depth}-{i}": RenderSpec(
+            "fatou", viewport=_centred_on(z), width=1, height=1, max_iter=depth
+        )
+        for (depth, i), z in BOX_SEEDS.items()
+    },
 }
 
 
@@ -264,8 +310,12 @@ def _random_specs(count):
 RANDOM_SPECS = _random_specs(40)
 
 
-# The edge grids of DIFFERENTIAL_SPECS: all but the parameter grids (named a=...).
-EDGE_SPECS = {name: spec for name, spec in DIFFERENTIAL_SPECS.items() if not name.startswith("a=")}
+# The exponential-map edge grids of DIFFERENTIAL_SPECS: all but the parameter
+# grids (named a=...) and the drift grids (named box-...).
+EDGE_SPECS = {
+    name: spec for name, spec in DIFFERENTIAL_SPECS.items()
+    if not name.startswith(("a=", "box-"))
+}
 
 
 def _cell_centres(spec):
@@ -404,6 +454,19 @@ def test_circle_grids_centre_on_their_seeds():
     for (bailout, i), z in CIRCLE_SEEDS.items():
         spec = DIFFERENTIAL_SPECS[f"circle-{bailout:g}-{i}"]
         assert [w for _, _, w in _cell_centres(spec)] == [z]
+
+
+def test_box_grids_centre_on_their_seeds():
+    from expbouquet.fatoufn import fatou_eval
+
+    for (depth, i), z in BOX_SEEDS.items():
+        spec = DIFFERENTIAL_SPECS[f"box-{depth}-{i}"]
+        assert [w for _, _, w in _cell_centres(spec)] == [z]
+        w = z
+        for _ in range(depth):
+            w = fatou_eval(w)
+        assert w == complex(z.real + depth, z.imag)
+        assert abs(abs(w) - 1e6) <= 2 * math.ulp(1e6)
 
 
 def _render_module():
@@ -753,6 +816,28 @@ class TestKernelWork:
         _, exits = classify_grid(spec, workers=1)
         assert len(sizes) <= -(-spec.height // _block_rows(spec))
         assert sum(sizes) == np.count_nonzero(exits >= 0) > 0
+
+    @pytest.mark.parametrize("a", [-2, 1.004 + 2.9j], ids=["a=-2", "a=1.004+2.9i"])
+    def test_offset_bound_reads_the_last_three_direct_steps(self, monkeypatch, a):
+        # A tag reads only whether the offset bound is <= max_iter - 3, and a
+        # step k <= max_iter - 4 bounds it by k + 1 <= max_iter - 3: each
+        # leaver's bound reads at most its points at steps >= max_iter - 3.
+        # At a = -2 no pixel leaves that late; at 1.004+2.9i some do.
+        steps, points = [], []
+        direct_bound = classify._direct_bound
+
+        def counting(a, depth, k, mag):
+            steps.append(k)
+            points.append(mag.size)
+            return direct_bound(a, depth, k, mag)
+
+        monkeypatch.setattr(_render_module(), "_direct_bound", counting)
+        spec = _exp_spec(a, max_iter=60, size=64)
+        tags, _ = classify_grid(spec, workers=1)
+        escaping = int(np.count_nonzero((tags == TAG_FAST) | (tags == TAG_SLOW)))
+        assert escaping > 0
+        assert sum(points) <= 3 * escaping
+        assert all(k >= spec.max_iter - 3 for k in steps)
 
 
 # A drift-map seed whose first step lands on Re z = 2^53 - 9 exactly (run 1).
